@@ -18,7 +18,6 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__, container, corpus, defaults, probes, worlds
@@ -37,35 +36,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 EXIT_GOLDEN_MISMATCH = 4
-
-
-@dataclass
-class Scenario:
-    """File-level scenario description; None paths fall back to built-ins."""
-
-    victim_path: str | None = None
-    template_path: str | None = None
-    catalog_path: str | None = None
-    seed: int = defaults.DEFAULT_SEED
-    store_seed_counts: dict[str, int] = field(
-        default_factory=lambda: dict(defaults.DEFAULT_STORE_COUNTS)
-    )
-
-    def load(self) -> worlds.MatrixScenario:
-        victim = (load_manifest_file(self.victim_path)
-                  if self.victim_path else defaults.default_victim())
-        template = (load_manifest_file(self.template_path)
-                    if self.template_path else defaults.default_template())
-        catalog_manifest = (load_manifest_file(self.catalog_path)
-                            if self.catalog_path else defaults.default_catalog_manifest())
-        return worlds.MatrixScenario(
-            victim=victim,
-            template=template,
-            catalog=ServiceCatalog.from_manifest(catalog_manifest),
-            companion=defaults.default_companion(),
-            seed=self.seed,
-            store_counts=dict(self.store_seed_counts),
-        )
 
 
 def scenario_digest(sc: worlds.MatrixScenario) -> str:
@@ -160,9 +130,15 @@ def _render_table(reports: list[probes.DetectionReport]) -> str:
 
 
 def build_report_document(sc: worlds.MatrixScenario,
-                          reports: list[probes.DetectionReport],
-                          run_log: list[dict] | None,
-                          step_report: list[dict] | None) -> dict:
+                          reports: list[probes.DetectionReport]) -> dict:
+    # Taken from the last environment that has them; only the cloaked one does.
+    run_log = step_report = None
+    for report in reports:
+        world = report.world
+        if world.container is not None and world.container.run_log:
+            run_log = list(world.container.run_log)
+        if world.customization is not None:
+            step_report = list(world.customization.report)
     return {
         "tool": {"name": "appvirtsim", "version": __version__},
         "scenario_digest": scenario_digest(sc),
@@ -194,10 +170,8 @@ def compare_to_golden(reports: list[probes.DetectionReport],
 
 
 def cmd_run_matrix(args) -> int:
-    scenario = Scenario(victim_path=args.victim, template_path=args.template,
-                        catalog_path=args.catalog, seed=args.seed)
     try:
-        sc = scenario.load()
+        sc = worlds.default_scenario(args.seed, args.victim, args.template, args.catalog)
     except (OSError, ManifestError) as exc:
         return _fail(str(exc), EXIT_INPUT)
 
@@ -205,21 +179,12 @@ def cmd_run_matrix(args) -> int:
         {"native": worlds.NATIVE_ENV, "naive": worlds.NAIVE_ENV,
          "cloaked": worlds.CLOAKED_ENV}[args.mode],
     )
-    run_log = None
-    step_report = None
-    reports = []
-    for environment in environments:
-        world = worlds.WORLD_BUILDERS[environment](sc)
-        if world.container is not None and world.container.run_log:
-            run_log = list(world.container.run_log)
-        if world.customization is not None:
-            step_report = list(world.customization.report)
-        reports.append(probes.run_probes_on_world(world))
+    reports = probes.run_matrix(sc, environments)
 
     if args.format == "table":
         _emit(_render_table(reports), args.out)
     else:
-        document = build_report_document(sc, reports, run_log, step_report)
+        document = build_report_document(sc, reports)
         _emit(json.dumps(document, indent=2) + "\n", args.out)
 
     if args.expect:
@@ -242,6 +207,8 @@ def cmd_run_matrix(args) -> int:
 
 
 def cmd_gen_corpus(args) -> int:
+    if args.count < 0:
+        return _fail(f"--count must be at least 0, got {args.count}", EXIT_INPUT)
     try:
         paths = corpus.generate_corpus(args.count, args.seed, args.out)
     except OSError as exc:
@@ -293,6 +260,8 @@ def _bench_hook_dispatch(calls: int = 500) -> dict:
 
 
 def cmd_bench(args) -> int:
+    if args.repeat < 1:
+        return _fail(f"--repeat must be at least 1, got {args.repeat}", EXIT_INPUT)
     corpus_dir = Path(args.corpus)
     if not corpus_dir.is_dir():
         return _fail(f"corpus directory missing: {corpus_dir}", EXIT_INPUT)
@@ -300,15 +269,11 @@ def cmd_bench(args) -> int:
         manifests = [
             load_manifest_file(p) for p in sorted(corpus_dir.glob("*.json"))
         ]
-        template = (load_manifest_file(args.template)
-                    if args.template else defaults.default_template())
-        catalog_manifest = (load_manifest_file(args.catalog)
-                            if args.catalog else defaults.default_catalog_manifest())
-        catalog = ServiceCatalog.from_manifest(catalog_manifest)
+        sc = worlds.default_scenario(template_path=args.template, catalog_path=args.catalog)
     except (OSError, ManifestError) as exc:
         return _fail(str(exc), EXIT_INPUT)
 
-    rows = _bench_customization(manifests, template, catalog, args.repeat)
+    rows = _bench_customization(manifests, sc.template, sc.catalog, args.repeat)
     document: dict = {
         "tool": {"name": "appvirtsim", "version": __version__},
         "repeat": args.repeat,

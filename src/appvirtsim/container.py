@@ -22,12 +22,10 @@ background services advance only when tick_services is called.
 from __future__ import annotations
 
 import os as _os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .manifest import (
-    ACTIVITY,
-    PROVIDER,
     SERVICE,
     AppManifest,
     Component,
@@ -37,13 +35,13 @@ from .manifest import (
 )
 from .permissions import PAYLOAD_STORES
 from .simos import (
+    LAUNCH_KINDS,
     AccessDeniedError,
     ApiCall,
     ApiError,
     SimOs,
     SimOsError,
     UnknownPackageError,
-    replace_call,
 )
 
 PROXY = "proxy"
@@ -87,16 +85,17 @@ class NoFreeStubError(ApiError):
 class HookSpec:
     """One interception rule.
 
-    ``transform`` maps (call, reply) to (call', reply') and may raise an
-    ApiError to synthesize a failure. Replace-mode hooks produce the reply
-    themselves; the underlying call is never made. Hooks on one target
+    ``fn``'s signature depends on ``mode``: a before hook maps a call to a
+    call, an after hook maps (call, reply) to a reply, and a replace hook
+    maps a call to a reply; the underlying call is then never made. Any
+    hook may raise an ApiError to synthesize a failure. Hooks on one target
     compose in installation order (after-phase runs in reverse).
     """
 
     layer: str
     target: str
     mode: str
-    transform: Callable[[ApiCall, object], tuple[ApiCall, object]]
+    fn: Callable[..., object]
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -104,21 +103,6 @@ class HookSpec:
             raise ValueError(f"unknown hook layer: {self.layer!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown hook mode: {self.mode!r}")
-
-
-def before_hook(layer: str, target: str, fn: Callable[[ApiCall], ApiCall],
-                label: str = "") -> HookSpec:
-    return HookSpec(layer, target, BEFORE, lambda call, reply: (fn(call), reply), label)
-
-
-def after_hook(layer: str, target: str, fn: Callable[[ApiCall, object], object],
-               label: str = "") -> HookSpec:
-    return HookSpec(layer, target, AFTER, lambda call, reply: (call, fn(call, reply)), label)
-
-
-def replace_hook(layer: str, target: str, fn: Callable[[ApiCall], object],
-                 label: str = "") -> HookSpec:
-    return HookSpec(layer, target, REPLACE, lambda call, reply: (call, fn(call)), label)
 
 
 @dataclass
@@ -136,8 +120,8 @@ class ContainerState:
     stub_assignments: dict[str, tuple[str, str, str]] = field(default_factory=dict)
     component_stub_map: dict[tuple[str, str, str], str] = field(default_factory=dict)
     foreground_plugin: str | None = None
-    proxy_hooks: list[HookSpec] = field(default_factory=list)
-    lowlevel_hooks: list[HookSpec] = field(default_factory=list)
+    # Dispatch order: lowlevel before proxy, each layer in installation order.
+    hooks: list[HookSpec] = field(default_factory=list)
     run_log: list[dict] = field(default_factory=list)
 
     def pid_to_plugin(self, pid: int) -> str | None:
@@ -205,21 +189,19 @@ def load_plugin(os: SimOs, c: ContainerState, plugin: AppManifest,
 
 
 def install_hook(c: ContainerState, h: HookSpec) -> None:
-    """Append to the layer's list; duplicates compose, nothing deduplicates."""
-    if h.layer == PROXY:
-        c.proxy_hooks.append(h)
+    """Add after the layer's last hook; duplicates compose, nothing deduplicates."""
+    if h.layer == LOWLEVEL:
+        c.hooks.insert(sum(x.layer == LOWLEVEL for x in c.hooks), h)
     else:
-        c.lowlevel_hooks.append(h)
+        c.hooks.append(h)
 
 
 def uninstall_hooks(c: ContainerState, labels) -> int:
     """Drop every installed hook whose label is in ``labels``; returns count removed."""
     wanted = set(labels)
-    removed = 0
-    for attr in ("proxy_hooks", "lowlevel_hooks"):
-        kept = [h for h in getattr(c, attr) if h.label not in wanted]
-        removed += len(getattr(c, attr)) - len(kept)
-        setattr(c, attr, kept)
+    kept = [h for h in c.hooks if h.label not in wanted]
+    removed = len(c.hooks) - len(kept)
+    c.hooks = kept
     return removed
 
 
@@ -253,25 +235,17 @@ def _map_name_back(c: ContainerState, name: str) -> str:
     return assigned[2] if assigned is not None else name
 
 
-# Lifecycle calls whose component names travel under stub names.
-_REWRITTEN_KINDS = {
-    "start_activity": ACTIVITY,
-    "start_service": SERVICE,
-    "acquire_provider": PROVIDER,
-}
-
-
 def _rewrite_request(c: ContainerState, plugin_package: str, call: ApiCall) -> ApiCall:
-    component_kind = _REWRITTEN_KINDS.get(call.kind)
+    component_kind = LAUNCH_KINDS.get(call.kind)
     if component_kind is None:
         return call
-    return replace_call(
+    return replace(
         call, name=_map_component_out(c, plugin_package, component_kind, call.name or "")
     )
 
 
 def _rewrite_reply(c: ContainerState, call: ApiCall, reply):
-    if call.kind in _REWRITTEN_KINDS:
+    if call.kind in LAUNCH_KINDS:
         return _map_name_back(c, reply)
     if call.kind in ("get_running_tasks", "get_recent_tasks"):
         return [[kind, _map_name_back(c, name)] for kind, name in reply]
@@ -297,16 +271,14 @@ def plugin_syscall(os: SimOs, c: ContainerState, caller: int, call: ApiCall):
     if plugin_package is None:
         raise NotAPluginError(f"pid {caller} is not a plugin process of {c.addon_package}")
 
-    on_target = [
-        h for h in c.lowlevel_hooks + c.proxy_hooks if h.target == call.kind
-    ]
+    on_target = [h for h in c.hooks if h.target == call.kind]
     replacement = next((h for h in on_target if h.mode == REPLACE), None)
     for hook in on_target:
         if hook.mode == BEFORE:
-            call, _ = hook.transform(call, None)
+            call = hook.fn(call)
 
     if replacement is not None:
-        _, reply = replacement.transform(call, None)
+        reply = replacement.fn(call)
     elif call.kind == "get_application_info" and call.package in c.plugin_manifests:
         reply = _synthesize_application_info(os, c, call.package)
     else:
@@ -316,7 +288,7 @@ def plugin_syscall(os: SimOs, c: ContainerState, caller: int, call: ApiCall):
 
     for hook in reversed(on_target):
         if hook.mode == AFTER:
-            _, reply = hook.transform(call, reply)
+            reply = hook.fn(call, reply)
     return reply
 
 
@@ -337,7 +309,7 @@ def install_cloaking_hookset(c: ContainerState, victim_package: str) -> None:
         return [dict(entry, name=victim_package) for entry in reply]
 
     def ps_to_ls(call: ApiCall) -> ApiCall:
-        return replace_call(call, cmd="ls") if call.cmd == "ps" else call
+        return replace(call, cmd="ls") if call.cmd == "ps" else call
 
     def native_data_dir(call: ApiCall, reply):
         return dict(reply, data_dir=f"/data/data/{reply['package']}")
@@ -345,12 +317,12 @@ def install_cloaking_hookset(c: ContainerState, victim_package: str) -> None:
     def deny_maps(call: ApiCall):
         raise AccessDeniedError("access to /proc/self/maps is disabled")
 
-    install_hook(c, after_hook(PROXY, "get_running_app_processes",
-                               rename_processes, HOOK_PROCESS_NAMES))
-    install_hook(c, before_hook(LOWLEVEL, "exec_shell", ps_to_ls, HOOK_EXEC_PS))
-    install_hook(c, after_hook(PROXY, "get_application_info",
-                               native_data_dir, HOOK_DATA_DIR))
-    install_hook(c, replace_hook(LOWLEVEL, "read_proc_maps", deny_maps, HOOK_PROC_MAPS))
+    install_hook(c, HookSpec(PROXY, "get_running_app_processes", AFTER,
+                             rename_processes, HOOK_PROCESS_NAMES))
+    install_hook(c, HookSpec(LOWLEVEL, "exec_shell", BEFORE, ps_to_ls, HOOK_EXEC_PS))
+    install_hook(c, HookSpec(PROXY, "get_application_info", AFTER,
+                             native_data_dir, HOOK_DATA_DIR))
+    install_hook(c, HookSpec(LOWLEVEL, "read_proc_maps", REPLACE, deny_maps, HOOK_PROC_MAPS))
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,16 @@ def step2_trim_malicious(victim: AppManifest, catalog: ServiceCatalog) -> AppMan
     )
 
 
-def _assemble_components(
+def step3_components(
     victim: AppManifest, malicious: AppManifest, addon: AppManifest
 ) -> tuple[AppManifest, dict[str, str], dict[str, str]]:
+    """Copy victim and payload components into the add-on; rename the framework rest.
+
+    Returns the merged add-on, the framework rename map, and the renames
+    forced on payload components. Collisions are resolved by suffixing
+    ``_c<k>`` with the smallest k that frees the name; victim components are
+    placed first so their names always survive verbatim.
+    """
     used: set[str] = set()
     by_kind: dict[str, list[Component]] = {k: [] for k in
                                            (ACTIVITY, SERVICE, RECEIVER, PROVIDER)}
@@ -139,19 +146,6 @@ def _assemble_components(
     return merged, rename_map, malicious_renames
 
 
-def step3_components(
-    victim: AppManifest, malicious: AppManifest, addon: AppManifest
-) -> tuple[AppManifest, dict[str, str]]:
-    """Copy victim and payload components into the add-on; rename the framework rest.
-
-    Collisions are resolved by suffixing ``_c<k>`` with the smallest k that
-    frees the name; victim components are placed first so their names always
-    survive verbatim.
-    """
-    merged, rename_map, _ = _assemble_components(victim, malicious, addon)
-    return merged, rename_map
-
-
 def step4_resources(victim: AppManifest, addon: AppManifest) -> AppManifest:
     """Store the victim's launcher icon and label as the add-on's shortcut resources."""
     icon, label = extract_launcher_resources(victim)
@@ -179,7 +173,7 @@ def customize(victim: AppManifest, addon_template: AppManifest,
                       "drop payload services the victim cannot feed")
 
     def assemble():
-        merged, rename_map, malicious_renames = _assemble_components(
+        merged, rename_map, malicious_renames = step3_components(
             victim, malicious, addon
         )
         synced = malicious

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 __all__ = [
     "ACTIVITY",
@@ -56,7 +56,6 @@ __all__ = [
     "manifest_to_dict",
     "load_manifest_file",
     "write_manifest_file",
-    "extract_permissions",
     "extract_components",
     "extract_launcher_resources",
     "launcher_activity",
@@ -436,11 +435,6 @@ def write_manifest_file(path, m: AppManifest) -> None:
 # Extraction queries
 
 
-def extract_permissions(m: AppManifest) -> set[str]:
-    """The declared permission set, as a fresh mutable copy."""
-    return set(m.permissions)
-
-
 def extract_components(m: AppManifest) -> list[tuple[str, str]]:
     """(kind, name) pairs: activities, services, receivers, providers, in declaration order."""
     return [(c.kind, c.name) for c in m.components()]
@@ -458,7 +452,3 @@ def extract_launcher_resources(m: AppManifest) -> tuple[str, str]:
     if launcher_activity(m) is None:
         raise NoLauncherError(f"{m.package}: no launcher activity declared")
     return m.launcher_icon, m.label
-
-
-# Re-exported for convenience when transforming manifests.
-replace_manifest = replace

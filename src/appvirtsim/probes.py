@@ -27,6 +27,7 @@ from .simos import (
     ComponentNotRegisteredError,
     PackageNotFoundError,
     PermissionDeniedError,
+    SimOsError,
     StaticReceiverError,
 )
 from .worlds import ENVIRONMENTS, EnvHandle, MatrixScenario, WORLD_BUILDERS, World
@@ -40,6 +41,8 @@ class DetectionReport:
 
     environment: str
     outcomes: list[ProbeOutcome] = field(default_factory=list)
+    # The unprobed world the probes ran on clones of.
+    world: World | None = field(default=None, repr=False, compare=False)
 
     def verdicts(self) -> dict[str, str]:
         return {o.probe: o.verdict.value for o in self.outcomes}
@@ -61,18 +64,6 @@ class DetectionReport:
         }
 
 
-def _detected(evidence: str) -> tuple[Verdict, str]:
-    return Verdict.VIRTUAL_DETECTED, evidence
-
-
-def _clean(evidence: str) -> tuple[Verdict, str]:
-    return Verdict.CLEAN, evidence
-
-
-def _inconclusive(evidence: str) -> tuple[Verdict, str]:
-    return Verdict.INCONCLUSIVE, evidence
-
-
 def _probe_1(h: EnvHandle):
     """Reach for stores whose guarding permission the app never declared."""
     undeclared = [
@@ -80,7 +71,7 @@ def _probe_1(h: EnvHandle):
         if guard not in h.declared.permissions
     ]
     if not undeclared:
-        return _clean("every store guard is declared; nothing to over-reach")
+        return Verdict.CLEAN, "every store guard is declared; nothing to over-reach"
     reachable = []
     for store, guard in undeclared:
         try:
@@ -89,10 +80,10 @@ def _probe_1(h: EnvHandle):
         except PermissionDeniedError:
             pass
     if reachable:
-        return _detected(
+        return Verdict.VIRTUAL_DETECTED, (
             f"accessed undeclared stores: {', '.join(reachable)}"
         )
-    return _clean(f"all {len(undeclared)} undeclared stores denied")
+    return Verdict.CLEAN, f"all {len(undeclared)} undeclared stores denied"
 
 
 def _probe_2(h: EnvHandle):
@@ -100,15 +91,15 @@ def _probe_2(h: EnvHandle):
     try:
         h.call(ApiCall("get_package_info", package=h.own_package))
     except PackageNotFoundError:
-        return _detected(f"{h.own_package} reported as not installed")
-    return _clean("own package info returned")
+        return Verdict.VIRTUAL_DETECTED, f"{h.own_package} reported as not installed"
+    return Verdict.CLEAN, "own package info returned"
 
 
 def _probe_3(h: EnvHandle):
     """Check undeclared dangerous permissions and try the guarded actions."""
     unchecked = sorted(DANGEROUS_PERMISSIONS - h.declared.permissions)
     if not unchecked:
-        return _clean("every dangerous permission is declared; nothing to check")
+        return Verdict.CLEAN, "every dangerous permission is declared; nothing to check"
     granted = [
         p for p in unchecked
         if h.call(ApiCall("check_permission", permission=p)) == "granted"
@@ -126,19 +117,19 @@ def _probe_3(h: EnvHandle):
             pass
     if granted:
         short = [p.rsplit(".", 1)[-1] for p in granted]
-        return _detected(
+        return Verdict.VIRTUAL_DETECTED, (
             f"undeclared dangerous permissions granted: {', '.join(short)}"
             + (f"; actions confirmed on: {', '.join(confirmed)}" if confirmed else "")
         )
-    return _clean(f"all {len(unchecked)} undeclared dangerous permissions denied")
+    return Verdict.CLEAN, f"all {len(unchecked)} undeclared dangerous permissions denied"
 
 
 def _probe_4(h: EnvHandle):
     """Look for the app's own package in the installed-packages list."""
     installed = h.call(ApiCall("get_installed_packages"))
     if h.own_package in installed:
-        return _clean("own package present in the installed list")
-    return _detected(
+        return Verdict.CLEAN, "own package present in the installed list"
+    return Verdict.VIRTUAL_DETECTED, (
         f"own package absent from installed list ({len(installed)} packages)"
     )
 
@@ -150,8 +141,8 @@ def _probe_5(h: EnvHandle):
     tasks += list(h.call(ApiCall("get_running_tasks")))
     foreign = sorted({name for _, name in tasks if name not in own_names})
     if foreign:
-        return _detected(f"foreign task components visible: {', '.join(foreign)}")
-    return _clean(f"{len(tasks)} task entries, all own components")
+        return Verdict.VIRTUAL_DETECTED, f"foreign task components visible: {', '.join(foreign)}"
+    return Verdict.CLEAN, f"{len(tasks)} task entries, all own components"
 
 
 def _probe_6(h: EnvHandle):
@@ -160,8 +151,8 @@ def _probe_6(h: EnvHandle):
     services = h.call(ApiCall("get_running_services"))
     foreign = sorted(set(services) - own)
     if foreign:
-        return _detected(f"foreign services visible: {', '.join(foreign)}")
-    return _inconclusive(
+        return Verdict.VIRTUAL_DETECTED, f"foreign services visible: {', '.join(foreign)}"
+    return Verdict.INCONCLUSIVE, (
         "running-services list is restricted to the caller in every "
         "environment; this check cannot discriminate"
     )
@@ -172,8 +163,10 @@ def _probe_7(h: EnvHandle):
     processes = h.call(ApiCall("get_running_app_processes"))
     alien = sorted({p["name"] for p in processes if p["name"] != h.own_package})
     if alien:
-        return _detected(f"same-uid processes with foreign names: {', '.join(alien)}")
-    return _clean(f"{len(processes)} same-uid process(es), all named {h.own_package}")
+        return Verdict.VIRTUAL_DETECTED, (
+            f"same-uid processes with foreign names: {', '.join(alien)}"
+        )
+    return Verdict.CLEAN, f"{len(processes)} same-uid process(es), all named {h.own_package}"
 
 
 def _parse_ps_lines(output: str) -> list[tuple[int, int, str]]:
@@ -195,10 +188,10 @@ def _probe_8(h: EnvHandle):
     rows = _parse_ps_lines(output)
     names = {name for _, _, name in rows}
     if len(rows) > 1 and len(names) > 1:
-        return _detected(
+        return Verdict.VIRTUAL_DETECTED, (
             f"{len(rows)} processes under own uid with names: {', '.join(sorted(names))}"
         )
-    return _clean(f"shell output parsed as {len(rows)} process line(s)")
+    return Verdict.CLEAN, f"shell output parsed as {len(rows)} process line(s)"
 
 
 def _probe_9(h: EnvHandle):
@@ -206,8 +199,8 @@ def _probe_9(h: EnvHandle):
     info = h.call(ApiCall("get_application_info", package=h.own_package))
     expected = f"/data/data/{h.own_package}"
     if info["data_dir"] != expected:
-        return _detected(f"private directory is {info['data_dir']}")
-    return _clean(f"private directory follows the native pattern {expected}")
+        return Verdict.VIRTUAL_DETECTED, f"private directory is {info['data_dir']}"
+    return Verdict.CLEAN, f"private directory follows the native pattern {expected}"
 
 
 def _probe_10(h: EnvHandle):
@@ -215,8 +208,8 @@ def _probe_10(h: EnvHandle):
     info = h.call(ApiCall("get_application_info", package=h.own_package))
     expected = f"/data/app/{h.own_package}/base.apk"
     if info["source_dir"] != expected:
-        return _detected(f"code source is {info['source_dir']}")
-    return _clean(f"code source is the native {expected}")
+        return Verdict.VIRTUAL_DETECTED, f"code source is {info['source_dir']}"
+    return Verdict.CLEAN, f"code source is the native {expected}"
 
 
 def _probe_11(h: EnvHandle):
@@ -224,12 +217,12 @@ def _probe_11(h: EnvHandle):
     try:
         maps = h.call(ApiCall("read_proc_maps"))
     except AccessDeniedError:
-        return _clean("process map read denied; no foreign apk path found")
+        return Verdict.CLEAN, "process map read denied; no foreign apk path found"
     own_apk = f"/data/app/{h.own_package}/base.apk"
     foreign = [p for p in maps if p.endswith(".apk") and p != own_apk]
     if foreign:
-        return _detected(f"foreign apk mapped: {foreign[0]}")
-    return _clean(f"{len(maps)} mapped paths, own apk only")
+        return Verdict.VIRTUAL_DETECTED, f"foreign apk mapped: {foreign[0]}"
+    return Verdict.CLEAN, f"{len(maps)} mapped paths, own apk only"
 
 
 def _probe_12(h: EnvHandle):
@@ -237,27 +230,27 @@ def _probe_12(h: EnvHandle):
     try:
         maps = h.call(ApiCall("read_proc_maps"))
     except AccessDeniedError:
-        return _clean("process map read denied; no suspicious library path found")
+        return Verdict.CLEAN, "process map read denied; no suspicious library path found"
     prefix = f"/data/app/{h.own_package}/"
     suspicious = [p for p in maps if not p.startswith(prefix)]
     if suspicious:
-        return _detected(f"code loaded from outside {prefix}: {suspicious[0]}")
-    return _clean(f"all {len(maps)} mapped paths under {prefix}")
+        return Verdict.VIRTUAL_DETECTED, f"code loaded from outside {prefix}: {suspicious[0]}"
+    return Verdict.CLEAN, f"all {len(maps)} mapped paths under {prefix}"
 
 
 def _probe_13(h: EnvHandle):
     """Launch several declared services; a placeholder-starved host errors out."""
     to_launch = [s.name for s in h.declared.services][:3]
     if not to_launch:
-        return _inconclusive("no declared services to launch")
+        return Verdict.INCONCLUSIVE, "no declared services to launch"
     for i, name in enumerate(to_launch):
         try:
             h.call(ApiCall("start_service", name=name))
         except ApiError as exc:
-            return _detected(
+            return Verdict.VIRTUAL_DETECTED, (
                 f"service launch {i + 1} of {len(to_launch)} failed: {exc}"
             )
-    return _clean(f"all {len(to_launch)} services launched")
+    return Verdict.CLEAN, f"all {len(to_launch)} services launched"
 
 
 def _probe_14(h: EnvHandle):
@@ -265,27 +258,27 @@ def _probe_14(h: EnvHandle):
     try:
         info = h.call(ApiCall("get_package_info", package=h.own_package))
     except PackageNotFoundError:
-        return _detected("own component list unavailable: package not installed")
+        return Verdict.VIRTUAL_DETECTED, "own component list unavailable: package not installed"
     declared = sorted((k, n) for k, n in extract_components(h.declared))
     reported = sorted((k, n) for k, n in info["components"])
     if declared != reported:
-        return _detected(
+        return Verdict.VIRTUAL_DETECTED, (
             f"component list mismatch: declared {len(declared)}, "
             f"reported {len(reported)}"
         )
-    return _clean(f"all {len(declared)} components reported as declared")
+    return Verdict.CLEAN, f"all {len(declared)} components reported as declared"
 
 
 def _probe_15(h: EnvHandle):
     """Unregister every manifest receiver, then test whether broadcasts still land."""
     receivers = h.declared.receivers
     if not receivers:
-        return _clean("no receivers declared; nothing to unregister")
+        return Verdict.CLEAN, "no receivers declared; nothing to unregister"
     for receiver in receivers:
         try:
             h.call(ApiCall("unregister_receiver", name=receiver.name))
         except StaticReceiverError:
-            return _clean(
+            return Verdict.CLEAN, (
                 f"{receiver.name} is statically registered and refused unregistration"
             )
     own_names = {r.name for r in receivers}
@@ -296,8 +289,8 @@ def _probe_15(h: EnvHandle):
             if name in own_names:
                 delivered.append(name)
     if delivered:
-        return _clean(f"broadcast still delivered to: {', '.join(sorted(set(delivered)))}")
-    return _detected(
+        return Verdict.CLEAN, f"broadcast still delivered to: {', '.join(sorted(set(delivered)))}"
+    return Verdict.VIRTUAL_DETECTED, (
         f"all {len(receivers)} manifest receivers unregistered dynamically; "
         "broadcasts no longer delivered"
     )
@@ -307,20 +300,20 @@ def _probe_16(h: EnvHandle):
     """Toggle one of the app's own components at runtime."""
     components = extract_components(h.declared)
     if not components:
-        return _inconclusive("no components declared")
+        return Verdict.INCONCLUSIVE, "no components declared"
     kind, name = components[0]
     try:
         h.call(ApiCall("set_component_enabled", component_kind=kind, name=name))
     except ComponentNotRegisteredError:
-        return _detected(f"own component {name} is not registered with the system")
-    return _clean(f"own component {name} toggled successfully")
+        return Verdict.VIRTUAL_DETECTED, f"own component {name} is not registered with the system"
+    return Verdict.CLEAN, f"own component {name} toggled successfully"
 
 
 def _probe_17(h: EnvHandle):
     """Write to the shared native-component blob and look for foreign writers."""
     native = sorted(h.declared.native_components)
     if not native:
-        return _clean("no native components declared; nothing is shared")
+        return Verdict.CLEAN, "no native components declared; nothing is shared"
     component = native[0]
     token = f"probe-token:{h.own_package}"
     h.call(ApiCall("native_blob_write", name=component, token=token))
@@ -328,43 +321,31 @@ def _probe_17(h: EnvHandle):
     own_writer = next(writer for writer, t in reversed(entries) if t == token)
     foreign = sorted({writer for writer, _ in entries if writer != own_writer})
     if foreign:
-        return _detected(
+        return Verdict.VIRTUAL_DETECTED, (
             f"{component} blob carries entries from foreign writers: {', '.join(foreign)}"
         )
-    return _clean(f"{component} blob written by this process only")
+    return Verdict.CLEAN, f"{component} blob written by this process only"
 
 
 def _probe_18(h: EnvHandle):
     """Lifecycle stack-trace analysis; modeled as non-discriminative."""
-    return _inconclusive(
+    return Verdict.INCONCLUSIVE, (
         "lifecycle stack-trace analysis does not discriminate in this model"
     )
 
 
 PROBE_FUNCS = {
-    "1": _probe_1,
-    "2": _probe_2,
-    "3": _probe_3,
-    "4": _probe_4,
-    "5": _probe_5,
-    "6": _probe_6,
-    "7": _probe_7,
-    "8": _probe_8,
-    "9": _probe_9,
-    "10": _probe_10,
-    "11": _probe_11,
-    "12": _probe_12,
-    "13": _probe_13,
-    "14": _probe_14,
-    "15": _probe_15,
-    "16": _probe_16,
-    "17": _probe_17,
-    "18": _probe_18,
+    name[len("_probe_"):]: fn
+    for name, fn in globals().items() if name.startswith("_probe_")
 }
 
 
 def run_probe(handle: EnvHandle, probe_id: str) -> ProbeOutcome:
-    """Run one mechanism; unexpected failures surface as an error verdict."""
+    """Run one mechanism; a modelled failure surfaces as an error verdict.
+
+    Only SimOsError counts as modelled; any other exception is a bug and
+    propagates.
+    """
     if probe_id == artmodel.HOTNESS_PROBE_ID:
         try:
             return artmodel.hotness_check(handle.runtime)
@@ -375,7 +356,7 @@ def run_probe(handle: EnvHandle, probe_id: str) -> ProbeOutcome:
         raise ValueError(f"unknown probe id: {probe_id!r}")
     try:
         verdict, evidence = fn(handle)
-    except Exception as exc:  # a legal environment never gets here
+    except SimOsError as exc:  # a legal environment never gets here
         return ProbeOutcome(probe_id, Verdict.ERROR,
                             f"{type(exc).__name__}: {exc}")
     return ProbeOutcome(probe_id, verdict, evidence)
@@ -383,7 +364,7 @@ def run_probe(handle: EnvHandle, probe_id: str) -> ProbeOutcome:
 
 def run_probes_on_world(world: World, probe_ids=PROBE_IDS) -> DetectionReport:
     """Run probes against fresh clones of one world, one clone per probe."""
-    report = DetectionReport(environment=world.environment)
+    report = DetectionReport(environment=world.environment, world=world)
     for probe_id in probe_ids:
         clone = copy.deepcopy(world)
         report.outcomes.append(run_probe(EnvHandle(clone), probe_id))

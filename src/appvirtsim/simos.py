@@ -11,7 +11,7 @@ instances are independent (deepcopy a world to branch it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .manifest import ACTIVITY, PROVIDER, SERVICE, AppManifest
 from .permissions import (
@@ -26,33 +26,13 @@ FIRST_PID = 1
 
 DATA_DIR_CHILDREN = ("cache", "files", "shared_prefs")
 
-# The system-call surface. Lifecycle starts and the shared native-component
-# blob are part of it: component launches are what the container's dispatch
-# layer rewrites, and the blob is how same-UID apps end up sharing state.
-API_KINDS = frozenset({
-    "get_installed_packages",
-    "get_package_info",
-    "check_permission",
-    "get_recent_tasks",
-    "get_running_tasks",
-    "get_running_services",
-    "get_running_app_processes",
-    "get_application_info",
-    "set_component_enabled",
-    "exec_shell",
-    "read_proc_maps",
-    "register_receiver",
-    "unregister_receiver",
-    "send_broadcast",
-    "access_resource",
-    "create_shortcut",
-    "kill_background_processes",
-    "start_activity",
-    "start_service",
-    "acquire_provider",
-    "native_blob_write",
-    "native_blob_read",
-})
+# Lifecycle calls, by the kind of component they launch. The container's
+# dispatch layer sends these components under pre-declared stub names.
+LAUNCH_KINDS = {
+    "start_activity": ACTIVITY,
+    "start_service": SERVICE,
+    "acquire_provider": PROVIDER,
+}
 
 
 class SimOsError(Exception):
@@ -116,8 +96,8 @@ class UnknownStoreError(ApiError):
 class ApiCall:
     """One request to the OS. Unused argument fields stay None.
 
-    Frozen so hook transforms rewrite copies (dataclasses.replace) instead
-    of mutating a call another hook already saw.
+    Frozen so hooks rewrite copies (dataclasses.replace) instead of
+    mutating a call another hook already saw.
     """
 
     kind: str
@@ -138,9 +118,6 @@ class ApiCall:
         object.__setattr__(self, "actions", tuple(self.actions))
         if self.kind not in API_KINDS:
             raise ValueError(f"unknown api call kind: {self.kind!r}")
-
-
-replace_call = replace
 
 
 @dataclass
@@ -284,7 +261,7 @@ class SimOs:
         granted = call.permission in record.granted_permissions
         return "granted" if granted else "denied"
 
-    def _tasks_for(self, proc) -> list[list[str]]:
+    def _op_get_running_tasks(self, proc, call):
         # Post-API-21 restriction: only tasks of the caller's own package.
         tasks = []
         for pid in sorted(self.processes):
@@ -293,11 +270,7 @@ class SimOs:
                 tasks.extend([kind, name] for kind, name in other.running_task_components)
         return tasks
 
-    def _op_get_recent_tasks(self, proc, call):
-        return self._tasks_for(proc)
-
-    def _op_get_running_tasks(self, proc, call):
-        return self._tasks_for(proc)
+    _op_get_recent_tasks = _op_get_running_tasks
 
     def _op_get_running_services(self, proc, call):
         # Restricted to the calling process's own services in every
@@ -408,34 +381,20 @@ class SimOs:
             del self.processes[pid]
         return len(doomed)
 
-    def _op_start_activity(self, proc, call):
-        record = self._identity(proc)
-        comp = record.manifest.component(ACTIVITY, call.name or "")
+    def _launch(self, proc, call):
+        kind = LAUNCH_KINDS[call.kind]
+        comp = self._identity(proc).manifest.component(kind, call.name or "")
         if comp is None:
             raise ComponentNotRegisteredError(
-                f"{call.name} is not a registered activity of {proc.owner_package}"
+                f"{call.name} is not a registered {kind} of {proc.owner_package}"
             )
-        proc.running_task_components.append((ACTIVITY, comp.name))
+        if kind == ACTIVITY:
+            proc.running_task_components.append((ACTIVITY, comp.name))
+        elif kind == SERVICE:
+            proc.running_services.append(comp.name)
         return comp.name
 
-    def _op_start_service(self, proc, call):
-        record = self._identity(proc)
-        comp = record.manifest.component(SERVICE, call.name or "")
-        if comp is None:
-            raise ComponentNotRegisteredError(
-                f"{call.name} is not a registered service of {proc.owner_package}"
-            )
-        proc.running_services.append(comp.name)
-        return comp.name
-
-    def _op_acquire_provider(self, proc, call):
-        record = self._identity(proc)
-        comp = record.manifest.component(PROVIDER, call.name or "")
-        if comp is None:
-            raise ComponentNotRegisteredError(
-                f"{call.name} is not a registered provider of {proc.owner_package}"
-            )
-        return comp.name
+    _op_start_activity = _op_start_service = _op_acquire_provider = _launch
 
     def _op_native_blob_write(self, proc, call):
         key = (proc.uid, call.name or "")
@@ -444,3 +403,11 @@ class SimOs:
 
     def _op_native_blob_read(self, proc, call):
         return [list(entry) for entry in self.native_blobs.get((proc.uid, call.name or ""), [])]
+
+
+# The system-call surface, one kind per _op_ handler. Lifecycle starts and the
+# shared native-component blob are part of it: component launches are what the
+# dispatch layer rewrites, and the blob is how same-UID apps end up sharing state.
+API_KINDS = frozenset(
+    name[len("_op_"):] for name in vars(SimOs) if name.startswith("_op_")
+)

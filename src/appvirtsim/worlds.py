@@ -23,7 +23,13 @@ from pathlib import Path
 
 from . import artmodel, container, defaults
 from .customization import CustomizationResult, customize
-from .manifest import AppManifest, ServiceCatalog, launcher_activity, write_manifest_file
+from .manifest import (
+    AppManifest,
+    ServiceCatalog,
+    launcher_activity,
+    load_manifest_file,
+    write_manifest_file,
+)
 from .simos import ApiCall, SimOs
 
 NATIVE_ENV = "native"
@@ -46,11 +52,15 @@ class MatrixScenario:
     )
 
 
-def default_scenario(seed: int = defaults.DEFAULT_SEED) -> MatrixScenario:
+def default_scenario(seed: int = defaults.DEFAULT_SEED, victim_path=None,
+                     template_path=None, catalog_path=None) -> MatrixScenario:
+    """The built-in scenario; each given manifest path replaces its built-in."""
     return MatrixScenario(
-        victim=defaults.default_victim(),
-        template=defaults.default_template(),
-        catalog=defaults.default_catalog(),
+        victim=load_manifest_file(victim_path) if victim_path else defaults.default_victim(),
+        template=(load_manifest_file(template_path)
+                  if template_path else defaults.default_template()),
+        catalog=(ServiceCatalog.from_manifest(load_manifest_file(catalog_path))
+                 if catalog_path else defaults.default_catalog()),
         companion=defaults.default_companion(),
         seed=seed,
     )
@@ -141,12 +151,12 @@ def build_naive_world(sc: MatrixScenario) -> World:
     return World(NAIVE_ENV, os, pid, sc.victim, runtime, container=c)
 
 
-def build_cloaked_world(sc: MatrixScenario, with_hooks: bool = True,
+def build_cloaked_world(sc: MatrixScenario,
                         drop_hook_labels: tuple[str, ...] = ()) -> World:
     """Customize, install, hook, and execute the first-run sequence.
 
-    ``with_hooks=False`` or ``drop_hook_labels`` build degraded variants for
-    measuring what each bypass hook contributes.
+    ``drop_hook_labels`` builds degraded variants for measuring what each
+    bypass hook contributes; ``CLOAK_HOOK_LABELS`` drops the whole hookset.
     """
     os = SimOs()
     seed_stores(os, sc.store_counts, sc.seed)
@@ -156,10 +166,8 @@ def build_cloaked_world(sc: MatrixScenario, with_hooks: bool = True,
     result = customize(sc.victim, sc.template, sc.catalog)
     os.install(result.addon)
     c = container.create_container(os, result.addon)
-    if with_hooks:
-        container.install_cloaking_hookset(c, sc.victim.package)
-        if drop_hook_labels:
-            container.uninstall_hooks(c, drop_hook_labels)
+    container.install_cloaking_hookset(c, sc.victim.package)
+    container.uninstall_hooks(c, drop_hook_labels)
 
     with tempfile.TemporaryDirectory(prefix="catalog-") as catalog_dir:
         write_manifest_file(

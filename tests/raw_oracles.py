@@ -31,7 +31,7 @@ def _identity_record(world):
 def _hook_labels(world):
     if world.container is None:
         return set()
-    return {h.label for h in world.container.proxy_hooks + world.container.lowlevel_hooks}
+    return {h.label for h in world.container.hooks}
 
 
 def _declared_names(world):

@@ -8,9 +8,11 @@ import random
 import statistics
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 from appvirtsim import artmodel, permissions as perms
 from appvirtsim.container import (
+    CLOAK_HOOK_LABELS,
     HOOK_EXEC_PS,
     install_cloaking_hookset,
     plugin_syscall,
@@ -24,7 +26,7 @@ from appvirtsim.defaults import (
     default_template,
     default_victim,
 )
-from appvirtsim.manifest import extract_components, replace_manifest
+from appvirtsim.manifest import extract_components
 from appvirtsim.outcomes import Verdict
 from appvirtsim.probes import PROBE_IDS, run_matrix, run_probes_on_world
 from appvirtsim.simos import ApiCall
@@ -112,7 +114,7 @@ def test_criterion_3_uid_and_path_semantics():
                 seed=seed,
                 store_counts=dict(DEFAULT_STORE_COUNTS),
             )
-            world = build_cloaked_world(scenario, with_hooks=False)
+            world = build_cloaked_world(scenario, drop_hook_labels=CLOAK_HOOK_LABELS)
             os, c = world.os, world.container
             addon_uid = os.registry[c.addon_package].uid
             assert c.plugin_processes, "first run loaded no plugins"
@@ -137,7 +139,7 @@ def test_criterion_4_hook_monotonicity():
         scenario = default_scenario()
         hooked = run_probes_on_world(build_cloaked_world(scenario)).verdicts()
         unhooked = run_probes_on_world(
-            build_cloaked_world(scenario, with_hooks=False)).verdicts()
+            build_cloaked_world(scenario, drop_hook_labels=CLOAK_HOOK_LABELS)).verdicts()
         no_exec = run_probes_on_world(
             build_cloaked_world(scenario, drop_hook_labels=(HOOK_EXEC_PS,))).verdicts()
 
@@ -156,7 +158,7 @@ def test_criterion_5_exfiltration_soundness():
     with criterion(5, "3 contact records and 0 sms records exfiltrated end to end"):
         from appvirtsim.container import tick_services
 
-        victim = replace_manifest(
+        victim = replace(
             default_victim(),
             permissions=frozenset({perms.READ_CONTACTS, perms.INTERNET}),
         )

@@ -177,6 +177,15 @@ def test_gen_corpus_empty(tmp_path):
     assert list(out.glob("*.json")) == []
 
 
+def test_gen_corpus_negative_count_rejected(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert run(["gen-corpus", "--count", "-3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--count" in captured.err
+    assert not out.exists()
+
+
 def test_gen_corpus_all_parse(tmp_path):
     out = tmp_path / "corpus"
     assert run(["gen-corpus", "--count", "100", "--seed", "3", "--out", str(out)]) == 0
@@ -216,6 +225,17 @@ def test_bench_empty_corpus(tmp_path):
     document = json.loads(out.read_text())
     assert document["per_manifest"] == []
     assert "aggregate" not in document
+
+
+def test_bench_repeat_below_one_rejected(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    run(["gen-corpus", "--count", "1", "--seed", "7", "--out", str(corpus_dir)])
+    capsys.readouterr()
+    for repeat in ("0", "-1"):
+        assert run(["bench", "--corpus", str(corpus_dir), "--repeat", repeat]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--repeat" in captured.err
 
 
 def test_bench_missing_corpus(tmp_path):

@@ -1,21 +1,24 @@
+from dataclasses import replace
+
 import pytest
 
 from appvirtsim import permissions as perms
 from appvirtsim.container import (
+    AFTER,
+    BEFORE,
+    REPLACE,
     AlreadyLoadedError,
     CatalogFetchError,
     HOOK_EXEC_PS,
     LOWLEVEL,
     PROXY,
-    after_hook,
-    before_hook,
+    HookSpec,
     create_container,
     first_run,
     install_cloaking_hookset,
     install_hook,
     load_plugin,
     plugin_syscall,
-    replace_hook,
     tick_services,
     uninstall_hooks,
 )
@@ -24,7 +27,6 @@ from appvirtsim.manifest import (
     ACTIVITY,
     AppManifest,
     Component,
-    replace_manifest,
     write_manifest_file,
 )
 from appvirtsim.simos import (
@@ -178,12 +180,12 @@ def test_hook_composition_order(hosted, victim):
             return reply
         return fn
 
-    install_hook(c, before_hook(LOWLEVEL, "read_proc_maps", tag_before("ll-b1")))
-    install_hook(c, before_hook(LOWLEVEL, "read_proc_maps", tag_before("ll-b2")))
-    install_hook(c, before_hook(PROXY, "read_proc_maps", tag_before("px-b1")))
-    install_hook(c, after_hook(LOWLEVEL, "read_proc_maps", tag_after("ll-a1")))
-    install_hook(c, after_hook(LOWLEVEL, "read_proc_maps", tag_after("ll-a2")))
-    install_hook(c, after_hook(PROXY, "read_proc_maps", tag_after("px-a1")))
+    install_hook(c, HookSpec(LOWLEVEL, "read_proc_maps", BEFORE, tag_before("ll-b1")))
+    install_hook(c, HookSpec(LOWLEVEL, "read_proc_maps", BEFORE, tag_before("ll-b2")))
+    install_hook(c, HookSpec(PROXY, "read_proc_maps", BEFORE, tag_before("px-b1")))
+    install_hook(c, HookSpec(LOWLEVEL, "read_proc_maps", AFTER, tag_after("ll-a1")))
+    install_hook(c, HookSpec(LOWLEVEL, "read_proc_maps", AFTER, tag_after("ll-a2")))
+    install_hook(c, HookSpec(PROXY, "read_proc_maps", AFTER, tag_after("px-a1")))
     plugin_syscall(os, c, pid, ApiCall("read_proc_maps"))
     assert trace == ["ll-b1", "ll-b2", "px-b1", "px-a1", "ll-a2", "ll-a1"]
 
@@ -197,21 +199,21 @@ def test_duplicate_hooks_compose(hosted, victim):
         counter["n"] += 1
         return reply
 
-    hook = after_hook(PROXY, "get_installed_packages", bump)
+    hook = HookSpec(PROXY, "get_installed_packages", AFTER, bump)
     install_hook(c, hook)
     install_hook(c, hook)
     plugin_syscall(os, c, pid, ApiCall("get_installed_packages"))
     assert counter["n"] == 2
 
 
-def test_replace_hook_short_circuits(hosted, victim):
+def test_replace_mode_hook_short_circuits(hosted, victim):
     os, c = hosted
     pid = load_plugin(os, c, victim, plugin_path(c, victim.package))
 
     def canned(call):
         return ["only.this"]
 
-    install_hook(c, replace_hook(LOWLEVEL, "get_installed_packages", canned))
+    install_hook(c, HookSpec(LOWLEVEL, "get_installed_packages", REPLACE, canned))
     reply = plugin_syscall(os, c, pid, ApiCall("get_installed_packages"))
     assert reply == ["only.this"]
 
@@ -249,10 +251,10 @@ def test_uninstall_hooks_by_label(hosted, victim):
     load_plugin(os, c, victim, plugin_path(c, victim.package))
     install_cloaking_hookset(c, victim.package)
     assert uninstall_hooks(c, (HOOK_EXEC_PS,)) == 1
-    assert len(c.proxy_hooks) + len(c.lowlevel_hooks) == 3
+    assert len(c.hooks) == 3
 
 
-def test_plugin_data_dir_before_hooks(hosted, victim, template):
+def test_plugin_data_dir_with_no_hooks(hosted, victim, template):
     os, c = hosted
     pid = load_plugin(os, c, victim, plugin_path(c, victim.package))
     info = plugin_syscall(os, c, pid, ApiCall("get_application_info",
@@ -363,7 +365,7 @@ def test_tick_services_internet_only_victim(template, catalog, tmp_path):
 def test_tick_services_denied_read_logged_not_raised(victim, template, catalog, tmp_path):
     # RECEIVE_SMS without READ_SMS: the interceptor survives trimming but
     # its store read is denied under the shared uid.
-    odd = replace_manifest(
+    odd = replace(
         victim, permissions=frozenset({perms.RECEIVE_SMS, perms.INTERNET}))
     os, c, result, catalog_dir = build_attack_world(odd, template, catalog, tmp_path)
     assert [s.payload for s in result.malicious.services] == ["sms_intercept"]

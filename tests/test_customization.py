@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,15 +21,14 @@ from appvirtsim.manifest import (
     Component,
     NoLauncherError,
     extract_components,
-    replace_manifest,
 )
 
 EXTRAS = set(perms.ADDON_EXTRA_PERMISSIONS)
 
 
 def make_victim(permissions, label="QuickChat"):
-    return replace_manifest(default_victim(), permissions=frozenset(permissions),
-                            label=label)
+    return replace(default_victim(), permissions=frozenset(permissions),
+                   label=label)
 
 
 def test_step1_replaces_template_permissions(victim, template):
@@ -86,7 +87,7 @@ def test_step2_renames_services_with_victim_label(catalog):
 def test_step3_stub_renaming(victim, template, catalog):
     malicious = step2_trim_malicious(victim, catalog)
     addon = step1_permissions(victim, template)
-    merged, rename_map = step3_components(victim, malicious, addon)
+    merged, rename_map, _ = step3_components(victim, malicious, addon)
     assert rename_map["PluginServiceManager"] == "QuickChatServiceManager"
     assert rename_map["PluginSetupActivity"] == "QuickChatSetupActivity"
     names = {c.name for c in merged.components()}
@@ -114,7 +115,7 @@ def test_step3_component_arithmetic():
     malicious = step2_trim_malicious(victim, default_catalog())
     assert len(malicious.services) == 2
     addon = step1_permissions(victim, template)
-    merged, _ = step3_components(victim, malicious, addon)
+    merged, _, _ = step3_components(victim, malicious, addon)
     assert len(merged.components()) == 9
 
 
@@ -130,7 +131,7 @@ def test_step3_collision_suffix():
     )
     malicious = step2_trim_malicious(victim, default_catalog())
     addon = step1_permissions(victim, template)
-    merged, rename_map = step3_components(victim, malicious, addon)
+    merged, rename_map, _ = step3_components(victim, malicious, addon)
     # The victim's name survives verbatim; the renamed stub gets suffixed.
     names = [c.name for c in merged.activities]
     assert "TrickySetup" in names
@@ -182,7 +183,7 @@ def test_customize_deterministic(victim, template, catalog):
 
 def test_validate_result_catches_violation(victim, template, catalog):
     result = customize(victim, template, catalog)
-    result.addon = replace_manifest(
+    result.addon = replace(
         result.addon, permissions=result.addon.permissions | {perms.CAMERA})
     with pytest.raises(CustomizationInvariantError):
         validate_result(victim, result)

@@ -18,7 +18,6 @@ from appvirtsim.manifest import (
     ServiceCatalog,
     extract_components,
     extract_launcher_resources,
-    extract_permissions,
     parse_manifest,
     serialize_manifest,
 )
@@ -98,16 +97,18 @@ def test_kind_specific_fields_enforced():
         Component(name=".P", kind=PROVIDER, requires_permissions={perms.INTERNET})
 
 
-def test_extract_permissions_returns_copy(victim):
-    extracted = extract_permissions(victim)
-    assert extracted == set(victim.permissions)
-    extracted.add("android.permission.BOGUS")
-    assert "android.permission.BOGUS" not in victim.permissions
+def test_permissions_are_a_frozen_copy(victim):
+    declared = set(victim.permissions)
+    m = AppManifest(package="a.b", permissions=declared)
+    assert isinstance(m.permissions, frozenset)
+    assert m.permissions == victim.permissions
+    declared.add("android.permission.BOGUS")
+    assert "android.permission.BOGUS" not in m.permissions
 
 
-def test_extract_permissions_empty():
+def test_permissions_empty_by_default():
     m = AppManifest(package="a.b")
-    assert extract_permissions(m) == set()
+    assert m.permissions == frozenset()
 
 
 def test_extract_components_order():

@@ -2,6 +2,7 @@ import copy
 
 import pytest
 
+from appvirtsim.container import CLOAK_HOOK_LABELS
 from appvirtsim.outcomes import Verdict
 from appvirtsim.probes import (
     PROBE_IDS,
@@ -14,6 +15,7 @@ from appvirtsim.worlds import (
     ENVIRONMENTS,
     NAIVE_ENV,
     NATIVE_ENV,
+    WORLD_BUILDERS,
     EnvHandle,
     build_cloaked_world,
     build_naive_world,
@@ -105,6 +107,51 @@ def test_probes_run_on_fresh_clones(worlds_by_env):
         assert first == second
 
 
+def world_state(world):
+    """Everything a probe's calls can change, as values that compare by content."""
+    os, c = world.os, world.container
+    return {
+        # SimProcess rows compare by value, running services and tasks included.
+        "processes": os.processes,
+        "dynamic_receivers": os.dynamic_receivers,
+        "native_blobs": os.native_blobs,
+        "exfil_sink": os.exfil_sink,
+        "shortcuts": os.shortcuts,
+        "fs_dirs": os.fs_dirs,
+        "stub_assignments": c and c.stub_assignments,
+        "hook_labels": c and [h.label for h in c.hooks],
+        "plugin_pids": c and c.plugin_processes,
+        "runtime_counters": world.runtime.methods,
+    }
+
+
+def test_matrix_leaves_each_world_unprobed(scenario):
+    # Every probe runs on its own clone, so after a full matrix the world
+    # each report carries still equals a freshly built one.
+    changed = [
+        report.environment for report in run_matrix(scenario)
+        if world_state(report.world)
+        != world_state(WORLD_BUILDERS[report.environment](scenario))
+    ]
+    assert changed == []
+
+
+def test_modelled_failure_is_an_error_verdict(worlds_by_env):
+    world = copy.deepcopy(worlds_by_env[NATIVE_ENV])
+    del world.os.processes[world.probe_pid]
+    outcome = run_probe(EnvHandle(world), "4")
+    assert outcome.verdict == Verdict.ERROR
+    assert outcome.evidence == f"UnknownProcessError: no such pid: {world.probe_pid}"
+
+
+def test_python_error_in_probe_propagates(worlds_by_env):
+    # Broken bookkeeping is a bug, not a modelled failure: no error cell.
+    world = copy.deepcopy(worlds_by_env[NAIVE_ENV])
+    del world.container.plugin_data_dirs[world.probe_manifest.package]
+    with pytest.raises(KeyError):
+        run_probe(EnvHandle(world), "9")
+
+
 def test_matrix_matches_golden(scenario):
     golden = load_golden("expected_matrix.json")["environments"]
     reports = run_matrix(scenario)
@@ -123,7 +170,7 @@ def test_hook_monotonicity(scenario):
     golden = load_golden("expected_hook_flips.json")
     hooked = run_probes_on_world(build_cloaked_world(scenario)).verdicts()
     unhooked = run_probes_on_world(
-        build_cloaked_world(scenario, with_hooks=False)).verdicts()
+        build_cloaked_world(scenario, drop_hook_labels=CLOAK_HOOK_LABELS)).verdicts()
     flipped = sorted((p for p in PROBE_IDS if hooked[p] != unhooked[p]), key=int)
     assert flipped == golden["remove_all_cloaking_hooks"]
     for probe_id in flipped:
