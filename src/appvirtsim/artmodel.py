@@ -28,7 +28,9 @@ VIRTUAL = "virtual"
 # against flagging a method that simply never ran.
 MIN_INVOCATIONS = 10
 
-DEFAULT_SENTINEL = "ActivityThread.currentActivityThread"
+SENTINEL = "ActivityThread.currentActivityThread"
+WARMUP_INVOCATIONS = 25
+WARMUP_LOOP_ITERATIONS = 2
 
 HOTNESS_PROBE_ID = "hotness"
 
@@ -75,32 +77,31 @@ class RuntimeModel:
             record.hotness_count += 1 + loop_iterations
 
 
-def warm_up(rt: RuntimeModel, method_name: str = DEFAULT_SENTINEL,
-            invocations: int = 25, loop_iterations: int = 2) -> None:
+def warm_up(rt: RuntimeModel) -> None:
     """Drive the sentinel past the warmup threshold, as app startup would."""
-    for _ in range(invocations):
-        rt.record_invocation(method_name, loop_iterations)
+    for _ in range(WARMUP_INVOCATIONS):
+        rt.record_invocation(SENTINEL, WARMUP_LOOP_ITERATIONS)
 
 
-def hotness_check(rt: RuntimeModel, sentinel: str = DEFAULT_SENTINEL) -> ProbeOutcome:
+def hotness_check(rt: RuntimeModel) -> ProbeOutcome:
     """Zero hotness on a warmed-up sentinel means the code runs virtualized."""
-    record = rt.methods.get(sentinel)
+    record = rt.methods.get(SENTINEL)
     if record is None or record.invocations < MIN_INVOCATIONS:
         seen = 0 if record is None else record.invocations
         raise InsufficientWarmupError(
-            f"{sentinel}: {seen} invocations recorded, need {MIN_INVOCATIONS}"
+            f"{SENTINEL}: {seen} invocations recorded, need {MIN_INVOCATIONS}"
         )
     if record.hotness_count == 0:
         return ProbeOutcome(
             probe=HOTNESS_PROBE_ID,
             verdict=Verdict.VIRTUAL_DETECTED,
             evidence=(
-                f"{sentinel}: hotness_count 0 after {record.invocations} invocations "
+                f"{SENTINEL}: hotness_count 0 after {record.invocations} invocations "
                 "(ahead-of-time compiled)"
             ),
         )
     return ProbeOutcome(
         probe=HOTNESS_PROBE_ID,
         verdict=Verdict.CLEAN,
-        evidence=f"{sentinel}: hotness_count {record.hotness_count} > 0",
+        evidence=f"{SENTINEL}: hotness_count {record.hotness_count} > 0",
     )

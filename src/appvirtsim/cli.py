@@ -37,6 +37,9 @@ EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 EXIT_GOLDEN_MISMATCH = 4
 
+# Plugin calls timed per hook configuration by ``bench``.
+HOOK_DISPATCH_CALLS = 500
+
 
 def scenario_digest(sc: worlds.MatrixScenario) -> str:
     """Content digest of the inputs, so reports self-identify their scenario."""
@@ -53,16 +56,21 @@ def scenario_digest(sc: worlds.MatrixScenario) -> str:
     return hasher.hexdigest()[:16]
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _emit(text: str, out_path: str | None) -> int:
+    """Write a report to ``out_path`` or stdout; a failed write is bad input."""
+    try:
+        if out_path:
+            Path(out_path).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        return _fail(str(exc), EXIT_INPUT)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -182,23 +190,29 @@ def cmd_run_matrix(args) -> int:
     reports = probes.run_matrix(sc, environments)
 
     if args.format == "table":
-        _emit(_render_table(reports), args.out)
+        text = _render_table(reports)
     else:
-        document = build_report_document(sc, reports)
-        _emit(json.dumps(document, indent=2) + "\n", args.out)
+        text = json.dumps(build_report_document(sc, reports), indent=2) + "\n"
+    code = _emit(text, args.out)
+    if code != EXIT_OK or not args.expect:
+        return code
 
-    if args.expect:
-        try:
-            golden = json.loads(Path(args.expect).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            return _fail(f"cannot read golden file: {exc}", EXIT_INPUT)
-        diffs = compare_to_golden(reports, golden)
-        if diffs:
-            print(f"golden mismatch: {len(diffs)} differing cell(s)", file=sys.stderr)
-            for diff in diffs:
-                print(f"  {diff}", file=sys.stderr)
-            return EXIT_GOLDEN_MISMATCH
-        print("matrix matches golden file", file=sys.stderr)
+    try:
+        golden = json.loads(Path(args.expect).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        return _fail(f"cannot read golden file: {exc}", EXIT_INPUT)
+    expected = golden.get("environments") if isinstance(golden, dict) else None
+    if not (isinstance(expected, dict)
+            and all(isinstance(cells, dict) for cells in expected.values())):
+        return _fail('golden file is not {"environments": {env: {probe: verdict}}}',
+                     EXIT_INPUT)
+    diffs = compare_to_golden(reports, golden)
+    if diffs:
+        print(f"golden mismatch: {len(diffs)} differing cell(s)", file=sys.stderr)
+        for diff in diffs:
+            print(f"  {diff}", file=sys.stderr)
+        return EXIT_GOLDEN_MISMATCH
+    print("matrix matches golden file", file=sys.stderr)
     return EXIT_OK
 
 
@@ -238,7 +252,7 @@ def _bench_customization(manifests, template, catalog, repeat: int) -> list[dict
     return rows
 
 
-def _bench_hook_dispatch(calls: int = 500) -> dict:
+def _bench_hook_dispatch() -> dict:
     """Mean plugin-call latency with zero hooks versus the full bypass hookset."""
     sc = worlds.default_scenario()
     world = worlds.build_cloaked_world(sc)
@@ -247,16 +261,16 @@ def _bench_hook_dispatch(calls: int = 500) -> dict:
 
     def measure() -> float:
         start = time.perf_counter()
-        for _ in range(calls):
+        for _ in range(HOOK_DISPATCH_CALLS):
             container.plugin_syscall(world.os, c, world.probe_pid, call)
-        return (time.perf_counter() - start) / calls * 1e6
+        return (time.perf_counter() - start) / HOOK_DISPATCH_CALLS * 1e6
 
     container.uninstall_hooks(c, container.CLOAK_HOOK_LABELS)
     baseline_us = measure()
     container.install_cloaking_hookset(c, sc.victim.package)
     hooked_us = measure()
-    return {"calls": calls, "baseline_us": baseline_us, "hooked_us": hooked_us,
-            "note": "dispatch micro-overhead with 0 vs 4 installed hooks"}
+    return {"calls": HOOK_DISPATCH_CALLS, "baseline_us": baseline_us,
+            "hooked_us": hooked_us, "note": "dispatch micro-overhead with 0 vs 4 installed hooks"}
 
 
 def cmd_bench(args) -> int:
@@ -306,10 +320,8 @@ def cmd_bench(args) -> int:
             f"hook dispatch: {hook['baseline_us']:.2f} us bare, "
             f"{hook['hooked_us']:.2f} us with 4 hooks"
         )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(json.dumps(document, indent=2) + "\n", args.out)
-    return EXIT_OK
+        return _emit("\n".join(lines) + "\n", args.out)
+    return _emit(json.dumps(document, indent=2) + "\n", args.out)
 
 
 # ---------------------------------------------------------------------------

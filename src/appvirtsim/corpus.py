@@ -13,9 +13,9 @@ from pathlib import Path
 
 from .manifest import (
     ACTIVITY,
-    PROVIDER,
+    COMPONENT_KINDS,
+    KIND_KEYS,
     RECEIVER,
-    SERVICE,
     AppManifest,
     Component,
     write_manifest_file,
@@ -31,33 +31,20 @@ def corpus_manifest(index: int, rng: random.Random) -> AppManifest:
     permissions = frozenset(rng.sample(pool, rng.randint(0, len(pool))))
 
     total = rng.randint(1, MAX_COMPONENTS)
-    activities = [Component(name=".GenMain", kind=ACTIVITY, launcher=True)]
-    services: list[Component] = []
-    receivers: list[Component] = []
-    providers: list[Component] = []
+    by_kind: dict[str, list[Component]] = {kind: [] for kind in KIND_KEYS}
+    by_kind[ACTIVITY].append(Component(name=".GenMain", kind=ACTIVITY, launcher=True))
     for j in range(total - 1):
-        kind = rng.choice((ACTIVITY, SERVICE, RECEIVER, PROVIDER))
-        if kind == ACTIVITY:
-            activities.append(Component(name=f".GenActivity{j}", kind=ACTIVITY))
-        elif kind == SERVICE:
-            services.append(Component(name=f".GenService{j}", kind=SERVICE))
-        elif kind == RECEIVER:
-            receivers.append(Component(
-                name=f".GenReceiver{j}", kind=RECEIVER,
-                intents=(f"org.corpus.ACTION_{j}",),
-            ))
-        else:
-            providers.append(Component(name=f".GenProvider{j}", kind=PROVIDER))
+        kind = rng.choice(COMPONENT_KINDS)
+        intents = (f"org.corpus.ACTION_{j}",) if kind == RECEIVER else ()
+        by_kind[kind].append(
+            Component(name=f".Gen{kind.capitalize()}{j}", kind=kind, intents=intents))
 
     return AppManifest(
         package=package,
         label=f"Corpus App {index:04d}",
         version=rng.randint(1, 99),
         permissions=permissions,
-        activities=tuple(activities),
-        services=tuple(services),
-        receivers=tuple(receivers),
-        providers=tuple(providers),
+        **{KIND_KEYS[kind]: comps for kind, comps in by_kind.items()},
         launcher_icon="ic_launcher.png",
     )
 

@@ -24,10 +24,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .manifest import (
-    ACTIVITY,
-    PROVIDER,
-    RECEIVER,
-    SERVICE,
+    KIND_KEYS,
     AppManifest,
     Component,
     ServiceCatalog,
@@ -92,19 +89,23 @@ def step2_trim_malicious(victim: AppManifest, catalog: ServiceCatalog) -> AppMan
     )
 
 
+def _with_components(m: AppManifest, by_kind: dict[str, list[Component]]) -> AppManifest:
+    return replace(m, **{KIND_KEYS[kind]: comps for kind, comps in by_kind.items()})
+
+
 def step3_components(
     victim: AppManifest, malicious: AppManifest, addon: AppManifest
-) -> tuple[AppManifest, dict[str, str], dict[str, str]]:
+) -> tuple[AppManifest, dict[str, str], AppManifest]:
     """Copy victim and payload components into the add-on; rename the framework rest.
 
-    Returns the merged add-on, the framework rename map, and the renames
-    forced on payload components. Collisions are resolved by suffixing
-    ``_c<k>`` with the smallest k that frees the name; victim components are
-    placed first so their names always survive verbatim.
+    Returns the merged add-on, the framework rename map, and the payload
+    manifest carrying any renames forced on its components. Collisions are
+    resolved by suffixing ``_c<k>`` with the smallest k that frees the name;
+    victim components are placed first so their names always survive verbatim.
     """
     used: set[str] = set()
-    by_kind: dict[str, list[Component]] = {k: [] for k in
-                                           (ACTIVITY, SERVICE, RECEIVER, PROVIDER)}
+    by_kind: dict[str, list[Component]] = {k: [] for k in KIND_KEYS}
+    payload: dict[str, list[Component]] = {k: [] for k in KIND_KEYS}
 
     def place(comp: Component) -> str:
         name = comp.name
@@ -116,34 +117,22 @@ def step3_components(
         by_kind[comp.kind].append(replace(comp, name=name))
         return name
 
-    # Victim components first, names preserved exactly. Only the name and
-    # kind matter to the outside; launcher flags and catalog bookkeeping
-    # are dropped so the add-on keeps a single launcher of its own.
+    # Victim and payload components enter the add-on with their name, kind
+    # and intents only: launcher flags and catalog bookkeeping are dropped
+    # so the add-on keeps a single launcher of its own.
     for comp in victim.components():
-        place(replace(comp, launcher=False, stub=False,
-                      requires_permissions=frozenset(), payload=None))
-
-    malicious_renames: dict[str, str] = {}
+        place(Component(comp.name, comp.kind, intents=comp.intents))
     for comp in malicious.components():
-        final = place(replace(comp, launcher=False, stub=False,
-                              requires_permissions=frozenset(), payload=None))
-        if final != comp.name:
-            malicious_renames[comp.name] = final
+        name = place(Component(comp.name, comp.kind, intents=comp.intents))
+        payload[comp.kind].append(replace(comp, name=name))
 
     rename_map: dict[str, str] = {}
     for comp in addon.components():
-        correlated = _correlated_name(comp.name, victim.label)
-        final = place(replace(comp, name=correlated))
-        rename_map[comp.name] = final
+        rename_map[comp.name] = place(
+            replace(comp, name=_correlated_name(comp.name, victim.label)))
 
-    merged = replace(
-        addon,
-        activities=tuple(by_kind[ACTIVITY]),
-        services=tuple(by_kind[SERVICE]),
-        receivers=tuple(by_kind[RECEIVER]),
-        providers=tuple(by_kind[PROVIDER]),
-    )
-    return merged, rename_map, malicious_renames
+    return (_with_components(addon, by_kind), rename_map,
+            _with_components(malicious, payload))
 
 
 def step4_resources(victim: AppManifest, addon: AppManifest) -> AppManifest:
@@ -171,21 +160,8 @@ def customize(victim: AppManifest, addon_template: AppManifest,
                   "copy victim permissions and features, add shortcut/kill extras")
     malicious = timed("trim_payload", lambda: step2_trim_malicious(victim, catalog),
                       "drop payload services the victim cannot feed")
-
-    def assemble():
-        merged, rename_map, malicious_renames = step3_components(
-            victim, malicious, addon
-        )
-        synced = malicious
-        if malicious_renames:
-            synced = replace(malicious, services=tuple(
-                replace(svc, name=malicious_renames.get(svc.name, svc.name))
-                for svc in malicious.services
-            ))
-        return merged, synced, rename_map
-
-    addon, malicious, rename_map = timed(
-        "components", assemble,
+    addon, rename_map, malicious = timed(
+        "components", lambda: step3_components(victim, malicious, addon),
         "embed victim and payload components, rename framework stubs")
     addon = timed("resources", lambda: step4_resources(victim, addon),
                   "copy victim launcher icon and label for the shortcut")

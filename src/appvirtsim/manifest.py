@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = [
     "ACTIVITY",
@@ -42,6 +42,7 @@ __all__ = [
     "RECEIVER",
     "PROVIDER",
     "COMPONENT_KINDS",
+    "KIND_KEYS",
     "ManifestError",
     "SchemaError",
     "DuplicateComponentError",
@@ -65,7 +66,19 @@ ACTIVITY = "activity"
 SERVICE = "service"
 RECEIVER = "receiver"
 PROVIDER = "provider"
-COMPONENT_KINDS = (ACTIVITY, SERVICE, RECEIVER, PROVIDER)
+# Component kind -> its document key and AppManifest field, in canonical order.
+KIND_KEYS = {ACTIVITY: "activities", SERVICE: "services",
+             RECEIVER: "receivers", PROVIDER: "providers"}
+COMPONENT_KINDS = tuple(KIND_KEYS)
+
+# The optional Component fields, and document keys besides "name", each kind
+# may carry; its other optional fields must keep their defaults.
+_KIND_FIELDS = {
+    ACTIVITY: frozenset({"launcher", "stub"}),
+    SERVICE: frozenset({"requires_permissions", "payload", "stub"}),
+    RECEIVER: frozenset({"intents"}),
+    PROVIDER: frozenset({"stub"}),
+}
 
 _PACKAGE_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
 
@@ -94,10 +107,9 @@ class NoLauncherError(ManifestError):
 class Component:
     """One declared app component.
 
-    Kind-specific fields must be absent for other kinds: ``launcher`` is
-    activity-only, ``intents`` receiver-only, ``requires_permissions`` and
-    ``payload`` service-only (used by payload catalogs), and ``stub`` marks
-    the placeholder components a container pre-declares (never receivers).
+    ``_KIND_FIELDS`` lists the optional fields each kind may carry.
+    ``requires_permissions`` and ``payload`` serve payload catalogs, and
+    ``stub`` marks the placeholder components a container pre-declares.
     """
 
     name: str
@@ -115,20 +127,17 @@ class Component:
         )
         if not self.name:
             raise SchemaError("component name must be non-empty")
-        if self.kind not in COMPONENT_KINDS:
+        allowed = _KIND_FIELDS.get(self.kind)
+        if allowed is None:
             raise SchemaError(f"unknown component kind: {self.kind!r}")
-        if self.launcher and self.kind != ACTIVITY:
-            raise SchemaError(f"{self.name}: launcher flag is activity-only")
-        if self.intents and self.kind != RECEIVER:
-            raise SchemaError(f"{self.name}: intents are receiver-only")
-        if self.requires_permissions and self.kind != SERVICE:
-            raise SchemaError(
-                f"{self.name}: requires_permissions is service-only"
-            )
-        if self.payload is not None and self.kind != SERVICE:
-            raise SchemaError(f"{self.name}: payload tag is service-only")
-        if self.stub and self.kind == RECEIVER:
-            raise SchemaError(f"{self.name}: receivers are never stubs")
+        for key, default in _OPTIONAL_DEFAULTS.items():
+            if key not in allowed and getattr(self, key) != default:
+                raise SchemaError(f"{self.name}: {key} is not allowed for kind {self.kind}")
+
+
+_OPTIONAL_DEFAULTS = {
+    f.name: f.default for f in fields(Component) if f.name not in ("name", "kind")
+}
 
 
 @dataclass(frozen=True)
@@ -155,8 +164,6 @@ class AppManifest:
         object.__setattr__(
             self, "native_components", frozenset(self.native_components)
         )
-        for kind in ("activities", "services", "receivers", "providers"):
-            object.__setattr__(self, kind, tuple(getattr(self, kind)))
         if not _PACKAGE_RE.match(self.package):
             raise SchemaError(
                 f"package must be a reverse-DNS name, got {self.package!r}"
@@ -165,12 +172,9 @@ class AppManifest:
             object.__setattr__(self, "label", self.package)
         if self.version < 0:
             raise SchemaError("version must be >= 0")
-        for kind, comps in (
-            (ACTIVITY, self.activities),
-            (SERVICE, self.services),
-            (RECEIVER, self.receivers),
-            (PROVIDER, self.providers),
-        ):
+        for kind, key in KIND_KEYS.items():
+            comps = tuple(getattr(self, key))
+            object.__setattr__(self, key, comps)
             for comp in comps:
                 if comp.kind != kind:
                     raise SchemaError(
@@ -275,30 +279,17 @@ def _string_list(doc: dict, context: str, key: str) -> list[str]:
 def _parse_component(entry: object, kind: str, context: str) -> Component:
     if not isinstance(entry, dict):
         raise SchemaError(f"{context}: expected object, got {type(entry).__name__}")
-    allowed = {"name", "stub"}
-    if kind == ACTIVITY:
-        allowed |= {"launcher"}
-    elif kind == SERVICE:
-        allowed |= {"requires_permissions", "payload"}
-    elif kind == RECEIVER:
-        allowed = {"name", "intents"}
-    _expect(entry, context, allowed)
+    _expect(entry, context, _KIND_FIELDS[kind] | {"name"})
     name = _string(entry, context, "name", required=True)
     launcher = entry.get("launcher", False)
     stub = entry.get("stub", False)
     if not isinstance(launcher, bool) or not isinstance(stub, bool):
         raise SchemaError(f"{context}.{name}: launcher/stub must be booleans")
-    payload = _string(entry, context, "payload")
     return Component(
-        name=name,
-        kind=kind,
-        launcher=launcher,
-        intents=tuple(_string_list(entry, context, "intents")),
-        requires_permissions=frozenset(
-            _string_list(entry, context, "requires_permissions")
-        ),
-        payload=payload,
-        stub=stub,
+        name=name, kind=kind, launcher=launcher, stub=stub,
+        payload=_string(entry, context, "payload"),
+        intents=_string_list(entry, context, "intents"),
+        requires_permissions=_string_list(entry, context, "requires_permissions"),
     )
 
 
@@ -328,14 +319,9 @@ def parse_manifest_dict(doc: object) -> AppManifest:
     components = doc.get("components", {})
     if not isinstance(components, dict):
         raise SchemaError("manifest.components: expected object")
-    _expect(components, "components", {"activities", "services", "receivers", "providers"})
+    _expect(components, "components", set(KIND_KEYS.values()))
     parsed: dict[str, list[Component]] = {}
-    for key, kind in (
-        ("activities", ACTIVITY),
-        ("services", SERVICE),
-        ("receivers", RECEIVER),
-        ("providers", PROVIDER),
-    ):
+    for kind, key in KIND_KEYS.items():
         entries = components.get(key, [])
         if not isinstance(entries, list):
             raise SchemaError(f"components.{key}: expected list")
@@ -354,10 +340,7 @@ def parse_manifest_dict(doc: object) -> AppManifest:
         version=version,
         permissions=frozenset(_string_list(doc, "manifest", "permissions")),
         features=frozenset(_string_list(doc, "manifest", "features")),
-        activities=tuple(parsed["activities"]),
-        services=tuple(parsed["services"]),
-        receivers=tuple(parsed["receivers"]),
-        providers=tuple(parsed["providers"]),
+        **parsed,
         launcher_icon=_string(resources, "resources", "launcher_icon", default="ic_launcher.png"),
         shortcut_icon=_string(resources, "resources", "shortcut_icon"),
         shortcut_label=_string(resources, "resources", "shortcut_label"),
@@ -397,10 +380,8 @@ def manifest_to_dict(m: AppManifest) -> dict:
         "permissions": sorted(m.permissions),
         "features": sorted(m.features),
         "components": {
-            "activities": [_component_to_dict(c) for c in m.activities],
-            "services": [_component_to_dict(c) for c in m.services],
-            "receivers": [_component_to_dict(c) for c in m.receivers],
-            "providers": [_component_to_dict(c) for c in m.providers],
+            key: [_component_to_dict(c) for c in getattr(m, key)]
+            for key in KIND_KEYS.values()
         },
         "resources": {"launcher_icon": m.launcher_icon},
         "native_components": sorted(m.native_components),

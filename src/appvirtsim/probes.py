@@ -362,10 +362,10 @@ def run_probe(handle: EnvHandle, probe_id: str) -> ProbeOutcome:
     return ProbeOutcome(probe_id, verdict, evidence)
 
 
-def run_probes_on_world(world: World, probe_ids=PROBE_IDS) -> DetectionReport:
-    """Run probes against fresh clones of one world, one clone per probe."""
+def run_probes_on_world(world: World) -> DetectionReport:
+    """Run every probe against fresh clones of one world, one clone per probe."""
     report = DetectionReport(environment=world.environment, world=world)
-    for probe_id in probe_ids:
+    for probe_id in PROBE_IDS:
         clone = copy.deepcopy(world)
         report.outcomes.append(run_probe(EnvHandle(clone), probe_id))
     return report

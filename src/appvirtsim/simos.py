@@ -233,6 +233,16 @@ class SimOs:
             )
         return record
 
+    def _installed(self, package: str | None) -> PackageRecord:
+        record = self.registry.get(package or "")
+        if record is None:
+            raise PackageNotFoundError(f"{package} is not installed")
+        return record
+
+    def _same_uid_processes(self, proc: SimProcess) -> list[SimProcess]:
+        return [p for p in sorted(self.processes.values(), key=lambda p: p.pid)
+                if p.uid == proc.uid]
+
     # -- the system-call surface ------------------------------------------
 
     def syscall(self, caller: int, call: ApiCall):
@@ -245,10 +255,7 @@ class SimOs:
         return sorted(self.registry)
 
     def _op_get_package_info(self, proc, call):
-        record = self.registry.get(call.package or "")
-        if record is None:
-            raise PackageNotFoundError(f"{call.package} is not installed")
-        m = record.manifest
+        m = self._installed(call.package).manifest
         return {
             "package": m.package,
             "version": m.version,
@@ -278,16 +285,11 @@ class SimOs:
         return list(proc.running_services)
 
     def _op_get_running_app_processes(self, proc, call):
-        return [
-            {"pid": p.pid, "uid": p.uid, "name": p.name}
-            for p in sorted(self.processes.values(), key=lambda p: p.pid)
-            if p.uid == proc.uid
-        ]
+        return [{"pid": p.pid, "uid": p.uid, "name": p.name}
+                for p in self._same_uid_processes(proc)]
 
     def _op_get_application_info(self, proc, call):
-        record = self.registry.get(call.package or "")
-        if record is None:
-            raise PackageNotFoundError(f"{call.package} is not installed")
+        record = self._installed(call.package)
         return {
             "package": record.manifest.package,
             "source_dir": record.apk_path,
@@ -306,12 +308,8 @@ class SimOs:
 
     def _op_exec_shell(self, proc, call):
         if call.cmd == "ps":
-            lines = [
-                f"{p.pid} {p.uid} {p.name}"
-                for p in sorted(self.processes.values(), key=lambda p: p.pid)
-                if p.uid == proc.uid
-            ]
-            return "\n".join(lines)
+            return "\n".join(f"{p.pid} {p.uid} {p.name}"
+                             for p in self._same_uid_processes(proc))
         if call.cmd == "ls":
             record = self._identity(proc)
             return "\n".join(self.list_dir(record.data_dir))

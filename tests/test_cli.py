@@ -1,9 +1,13 @@
 import json
 from pathlib import Path
 
-from appvirtsim.cli import main
+import pytest
+
+from appvirtsim.cli import compare_to_golden, main
 from appvirtsim.manifest import load_manifest_file
-from conftest import DATA_DIR
+from appvirtsim.outcomes import ProbeOutcome, Verdict
+from appvirtsim.probes import DetectionReport
+from conftest import DATA_DIR, load_golden
 
 GOLDEN = str(DATA_DIR / "expected_matrix.json")
 
@@ -97,6 +101,41 @@ def test_run_matrix_tampered_golden(tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert "(native, 4): expected virtual_detected, got clean" in err
+
+
+@pytest.mark.parametrize("golden", ['[1, 2]', '{"environments": {"native": ["x"]}}'])
+def test_run_matrix_misshapen_golden_rejected(tmp_path, capsys, golden):
+    path = tmp_path / "golden.json"
+    path.write_text(golden, encoding="utf-8")
+    code = run(["run-matrix", "--mode", "native", "--out", str(tmp_path / "r.json"),
+                "--expect", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_run_matrix_unwritable_out(tmp_path, capsys):
+    code = run(["run-matrix", "--mode", "native",
+                "--out", str(tmp_path / "missing" / "r.json")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+def test_compare_to_golden_reports_missing_environments():
+    golden = load_golden("expected_matrix.json")
+    native = golden["environments"]["native"]
+    reports = [
+        DetectionReport(env, [ProbeOutcome(probe, Verdict(verdict), "")
+                              for probe, verdict in native.items()])
+        for env in ("native", "extra_env")
+    ]
+    golden["environments"] = {"native": native, "cloaked_container": native}
+    assert compare_to_golden(reports, golden) == [
+        "(cloaked_container, *): environment missing from run",
+        "(extra_env, *): environment missing from golden",
+    ]
 
 
 def test_table_and_structured_formats_agree(tmp_path):
@@ -215,6 +254,33 @@ def test_bench_small_corpus(tmp_path):
     assert document["hook_dispatch"]["hooked_us"] > 0
     for row in document["per_manifest"]:
         assert row["min_ms"] <= row["mean_ms"] <= row["max_ms"]
+
+
+def test_bench_table_format(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    run(["gen-corpus", "--count", "3", "--seed", "7", "--out", str(corpus_dir)])
+    out = tmp_path / "bench.txt"
+    assert run(["bench", "--corpus", str(corpus_dir), "--repeat", "1",
+                "--format", "table", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].split() == ["package", "mean_ms", "min_ms", "max_ms"]
+    packages = sorted(p.stem for p in corpus_dir.glob("*.json"))
+    assert [line.split()[0] for line in lines[1:4]] == packages
+    assert lines[4].startswith("aggregate: 3 manifests, mean ")
+    assert lines[5].startswith("hook dispatch: ") and lines[5].endswith(" us with 4 hooks")
+    assert len(lines) == 6
+
+
+def test_bench_unwritable_out(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    run(["gen-corpus", "--count", "1", "--seed", "7", "--out", str(corpus_dir)])
+    capsys.readouterr()
+    code = run(["bench", "--corpus", str(corpus_dir), "--repeat", "1",
+                "--out", str(tmp_path / "missing" / "bench.json")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
 def test_bench_empty_corpus(tmp_path):

@@ -22,9 +22,10 @@ from appvirtsim.container import (
     tick_services,
     uninstall_hooks,
 )
-from appvirtsim.customization import customize
+from appvirtsim.customization import customize, validate_result
 from appvirtsim.manifest import (
     ACTIVITY,
+    SERVICE,
     AppManifest,
     Component,
     write_manifest_file,
@@ -151,6 +152,21 @@ def test_stub_exhaustion(hosted, victim):
     plugin_syscall(os, c, pid, ApiCall("start_service", name=".SyncService"))
     with pytest.raises(ApiError, match="no free service stub"):
         plugin_syscall(os, c, pid, ApiCall("start_service", name=".PushService"))
+
+
+def test_relaunch_reuses_assigned_stub(hosted, victim):
+    # The template has one service stub, so a second stub assignment for
+    # the same service would fail; the relaunch must reuse the first.
+    os, c = hosted
+    pid = load_plugin(os, c, victim, plugin_path(c, victim.package))
+    first = plugin_syscall(os, c, pid, ApiCall("start_service", name=".SyncService"))
+    assigned = dict(c.stub_assignments)
+    second = plugin_syscall(os, c, pid, ApiCall("start_service", name=".SyncService"))
+    assert first == second == ".SyncService"
+    assert c.stub_assignments == assigned
+    assert os.processes[pid].running_services == [
+        "PluginServiceManager", "PluginServiceManager",
+    ]
 
 
 def test_set_component_enabled_not_rewritten(hosted, victim):
@@ -347,6 +363,28 @@ def test_tick_services_exfiltrates_under_shared_uid(victim, template, catalog, t
     assert tags == ["contacts", "sms"]
     assert len([r for t, r in os.exfil_sink if t == "contacts"]) == 3
     assert len([r for t, r in os.exfil_sink if t == "sms"]) == 2
+
+
+def test_payload_service_renamed_around_victim_service(victim, template, catalog,
+                                                     tmp_path):
+    # The victim already declares the correlated name of the catalog's
+    # contacts service, so the payload copy is suffixed in both manifests.
+    clash = replace(victim, services=victim.services + (
+        Component(name="QuickChatContactsService", kind=SERVICE),))
+    os, c, result, catalog_dir = build_attack_world(clash, template, catalog, tmp_path)
+    renamed = "QuickChatContactsService_c1"
+    assert renamed in [s.name for s in result.addon.services]
+    assert [s.name for s in result.malicious.services] == [
+        renamed, "QuickChatSmsService",
+    ]
+    validate_result(clash, result)
+
+    log = first_run(os, c, clash.package, catalog_dir)
+    assert [e for e in log if e["step"] == "warning"] == []
+    started = next(e for e in log if e["step"] == "start_payload_services")
+    assert renamed in started["services"]
+    tick_services(os, c)
+    assert len([r for t, r in os.exfil_sink if t == "contacts"]) == 3
 
 
 def test_tick_services_internet_only_victim(template, catalog, tmp_path):

@@ -95,6 +95,8 @@ def test_kind_specific_fields_enforced():
         Component(name=".R", kind=RECEIVER, stub=True)
     with pytest.raises(SchemaError):
         Component(name=".P", kind=PROVIDER, requires_permissions={perms.INTERNET})
+    with pytest.raises(SchemaError):
+        Component(name=".P", kind=PROVIDER, payload="")
 
 
 def test_permissions_are_a_frozen_copy(victim):
