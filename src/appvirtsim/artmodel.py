@@ -14,7 +14,7 @@ environment when a warmed-up sentinel method still reads zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .outcomes import ProbeOutcome, Verdict
 
@@ -55,6 +55,12 @@ class RuntimeModel:
             raise ValueError(f"unknown environment kind: {environment_kind!r}")
         self.environment_kind = environment_kind
         self.methods: dict[str, ArtMethodRecord] = {}
+
+    def fork(self) -> RuntimeModel:
+        """An independent copy: one fresh record per method."""
+        other = RuntimeModel(self.environment_kind)
+        other.methods = {name: replace(r) for name, r in self.methods.items()}
+        return other
 
     @property
     def default_mode(self) -> str:

@@ -111,7 +111,7 @@ class ContainerState:
     addon_manifest: AppManifest
     container_pid: int
     plugin_data_root: str
-    stub_components: list[Component] = field(default_factory=list)
+    stub_components: tuple[Component, ...] = ()
     plugin_manifests: dict[str, AppManifest] = field(default_factory=dict)
     plugin_processes: dict[str, int] = field(default_factory=dict)
     plugin_apk_paths: dict[str, str] = field(default_factory=dict)
@@ -123,6 +123,24 @@ class ContainerState:
     # Dispatch order: lowlevel before proxy, each layer in installation order.
     hooks: list[HookSpec] = field(default_factory=list)
     run_log: list[dict] = field(default_factory=list)
+
+    def fork(self) -> ContainerState:
+        """An independent copy of the environment's bookkeeping.
+
+        Manifests, components and hooks are frozen and shared, and so are
+        the run-log entries, which are never changed once appended.
+        """
+        return replace(
+            self,
+            plugin_manifests=dict(self.plugin_manifests),
+            plugin_processes=dict(self.plugin_processes),
+            plugin_apk_paths=dict(self.plugin_apk_paths),
+            plugin_data_dirs=dict(self.plugin_data_dirs),
+            stub_assignments=dict(self.stub_assignments),
+            component_stub_map=dict(self.component_stub_map),
+            hooks=list(self.hooks),
+            run_log=list(self.run_log),
+        )
 
     def pid_to_plugin(self, pid: int) -> str | None:
         for package, plugin_pid in self.plugin_processes.items():
@@ -148,7 +166,7 @@ def create_container(os: SimOs, addon: AppManifest) -> ContainerState:
         addon_manifest=record.manifest,
         container_pid=pid,
         plugin_data_root=plugin_root,
-        stub_components=[c for c in record.manifest.components() if c.stub],
+        stub_components=tuple(c for c in record.manifest.components() if c.stub),
     )
 
 
@@ -408,10 +426,17 @@ def tick_services(os: SimOs, c: ContainerState) -> None:
     Each service reads its payload store under the shared UID and appends
     (payload tag, record) pairs to the exfiltration sink. A denied read is
     logged, never raised: the corresponding permission simply is not there.
+    A plugin whose process was killed is skipped with a logged warning.
     """
     for package, pid in c.plugin_processes.items():
         manifest = c.plugin_manifests[package]
-        proc = os.process(pid)
+        proc = os.processes.get(pid)
+        if proc is None:
+            c.run_log.append({
+                "step": "warning",
+                "detail": f"{package}: process {pid} is gone; not ticked",
+            })
+            continue
         for service_name in list(proc.running_services):
             service = manifest.component(SERVICE, service_name)
             if service is None or service.payload is None:

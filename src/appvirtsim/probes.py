@@ -13,7 +13,6 @@ a naive container.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from . import artmodel
@@ -41,7 +40,7 @@ class DetectionReport:
 
     environment: str
     outcomes: list[ProbeOutcome] = field(default_factory=list)
-    # The unprobed world the probes ran on clones of.
+    # The unprobed world the probes ran on forks of.
     world: World | None = field(default=None, repr=False, compare=False)
 
     def verdicts(self) -> dict[str, str]:
@@ -363,11 +362,10 @@ def run_probe(handle: EnvHandle, probe_id: str) -> ProbeOutcome:
 
 
 def run_probes_on_world(world: World) -> DetectionReport:
-    """Run every probe against fresh clones of one world, one clone per probe."""
+    """Run every probe against fresh forks of one world, one fork per probe."""
     report = DetectionReport(environment=world.environment, world=world)
     for probe_id in PROBE_IDS:
-        clone = copy.deepcopy(world)
-        report.outcomes.append(run_probe(EnvHandle(clone), probe_id))
+        report.outcomes.append(run_probe(EnvHandle(world.fork()), probe_id))
     return report
 
 

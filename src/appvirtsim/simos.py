@@ -6,12 +6,12 @@ permission-guarded data stores, and the system-call surface that container
 proxies wrap and detection probes call.
 
 A SimOs is a single mutable world driven sequentially by one owner; distinct
-instances are independent (deepcopy a world to branch it).
+instances are independent, and ``SimOs.fork`` branches one into another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .manifest import ACTIVITY, PROVIDER, SERVICE, AppManifest
 from .permissions import (
@@ -160,6 +160,35 @@ class SimOs:
         # (uid, native component name) -> [(writer process name, token)]
         self.native_blobs: dict[tuple[int, str], list[tuple[str, str]]] = {}
         self.fs_dirs: set[str] = set()
+
+    def fork(self) -> SimOs:
+        """An independent copy of this device.
+
+        Every table a system call can change is copied; frozen manifests
+        and the tuples held in the tables are shared.
+        """
+        other = SimOs.__new__(SimOs)
+        other.registry = {
+            package: replace(record,
+                             granted_permissions=set(record.granted_permissions),
+                             static_receivers=set(record.static_receivers))
+            for package, record in self.registry.items()
+        }
+        other.processes = {
+            pid: replace(p, memory_maps=list(p.memory_maps),
+                         running_task_components=list(p.running_task_components),
+                         running_services=list(p.running_services))
+            for pid, p in self.processes.items()
+        }
+        other.next_pid = self.next_pid
+        other.next_uid = self.next_uid
+        other.shortcuts = list(self.shortcuts)
+        other.dynamic_receivers = dict(self.dynamic_receivers)
+        other.data_stores = {s: list(records) for s, records in self.data_stores.items()}
+        other.exfil_sink = list(self.exfil_sink)
+        other.native_blobs = {k: list(entries) for k, entries in self.native_blobs.items()}
+        other.fs_dirs = set(self.fs_dirs)
+        return other
 
     # -- filesystem bookkeeping -------------------------------------------
 

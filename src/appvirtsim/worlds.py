@@ -10,15 +10,15 @@ app's process and declared manifest, and that process's runtime model:
     the victim), the probe app is installed natively, the bypass hookset is
     live, and the first-run sequence has executed.
 
-Worlds are deterministic for a given scenario and cheap to deepcopy, which
-is how callers isolate probes from each other.
+Worlds are deterministic for a given scenario. Callers isolate probes from
+each other by running each on its own ``World.fork``.
 """
 
 from __future__ import annotations
 
 import random
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import artmodel, container, defaults
@@ -86,6 +86,16 @@ class World:
     runtime: artmodel.RuntimeModel
     container: container.ContainerState | None = None
     customization: CustomizationResult | None = None
+
+    def fork(self) -> World:
+        """An independent copy: the OS, container and runtime are forked,
+        the probe manifest and customization result are shared."""
+        return replace(
+            self,
+            os=self.os.fork(),
+            runtime=self.runtime.fork(),
+            container=None if self.container is None else self.container.fork(),
+        )
 
 
 class EnvHandle:

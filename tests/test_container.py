@@ -413,6 +413,34 @@ def test_tick_services_denied_read_logged_not_raised(victim, template, catalog, 
     assert any("read denied" in e.get("detail", "") for e in c.run_log)
 
 
+def test_tick_services_skips_killed_plugin(victim, template, catalog, tmp_path):
+    # The payload kills every other process of its own add-on: the container
+    # process and the victim plugin. The next sweep still runs the payload.
+    # All of it happens on forks, which leave the parent's tables alone.
+    parent_os, parent_c, result, catalog_dir = build_attack_world(
+        victim, template, catalog, tmp_path)
+    first_run(parent_os, parent_c, victim.package, catalog_dir)
+    parent_log, parent_pids = list(parent_c.run_log), set(parent_os.processes)
+    os, c = parent_os.fork(), parent_c.fork()
+    payload_pid = c.plugin_processes[result.malicious.package]
+    victim_pid = c.plugin_processes[victim.package]
+    killed = plugin_syscall(os, c, payload_pid, ApiCall(
+        "kill_background_processes", package=c.addon_package))
+    assert killed == 2
+    assert victim_pid not in os.processes
+    assert c.plugin_processes[victim.package] == victim_pid
+    tick_services(os, c)
+    assert sorted({tag for tag, _ in os.exfil_sink}) == ["contacts", "sms"]
+    assert len(os.exfil_sink) == 5
+    assert c.run_log[-1] == {
+        "step": "warning",
+        "detail": f"{victim.package}: process {victim_pid} is gone; not ticked",
+    }
+    assert parent_c.run_log == parent_log
+    assert set(parent_os.processes) == parent_pids
+    assert parent_os.exfil_sink == []
+
+
 def test_shared_uid_law_over_load_sequences(hosted, template):
     os, c = hosted
     addon_uid = os.registry[template.package].uid

@@ -1,15 +1,19 @@
 import copy
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from appvirtsim.container import CLOAK_HOOK_LABELS
+from appvirtsim.container import CLOAK_HOOK_LABELS, tick_services
+from appvirtsim.manifest import COMPONENT_KINDS
 from appvirtsim.outcomes import Verdict
+from appvirtsim.permissions import ALL_PERMISSIONS, STORE_NAMES
 from appvirtsim.probes import (
     PROBE_IDS,
     run_matrix,
     run_probe,
     run_probes_on_world,
 )
+from appvirtsim.simos import API_KINDS, ApiCall, SimOsError
 from appvirtsim.worlds import (
     CLOAKED_ENV,
     ENVIRONMENTS,
@@ -37,7 +41,7 @@ def worlds_by_env():
 
 
 def probe_in(worlds_by_env, env, probe_id):
-    return run_probe(EnvHandle(copy.deepcopy(worlds_by_env[env])), probe_id)
+    return run_probe(EnvHandle(worlds_by_env[env].fork()), probe_id)
 
 
 def test_probe_ids_exhaustive():
@@ -108,19 +112,30 @@ def test_probes_run_on_fresh_clones(worlds_by_env):
 
 
 def world_state(world):
-    """Everything a probe's calls can change, as values that compare by content."""
+    """Every table a fork copies, as values that compare by content."""
     os, c = world.os, world.container
     return {
+        # PackageRecords compare by value, grants and static receivers included.
+        "registry": os.registry,
         # SimProcess rows compare by value, running services and tasks included.
         "processes": os.processes,
+        "next_pid": os.next_pid,
+        "next_uid": os.next_uid,
         "dynamic_receivers": os.dynamic_receivers,
+        "data_stores": os.data_stores,
         "native_blobs": os.native_blobs,
         "exfil_sink": os.exfil_sink,
         "shortcuts": os.shortcuts,
         "fs_dirs": os.fs_dirs,
-        "stub_assignments": c and c.stub_assignments,
-        "hook_labels": c and [h.label for h in c.hooks],
+        "plugin_manifests": c and c.plugin_manifests,
         "plugin_pids": c and c.plugin_processes,
+        "plugin_apk_paths": c and c.plugin_apk_paths,
+        "plugin_data_dirs": c and c.plugin_data_dirs,
+        "stub_assignments": c and c.stub_assignments,
+        "component_stub_map": c and c.component_stub_map,
+        "foreground_plugin": c and c.foreground_plugin,
+        "hook_labels": c and [h.label for h in c.hooks],
+        "run_log": c and c.run_log,
         "runtime_counters": world.runtime.methods,
     }
 
@@ -136,8 +151,80 @@ def test_matrix_leaves_each_world_unprobed(scenario):
     assert changed == []
 
 
+TICK = "tick"
+
+
+def operations(world):
+    """Any call the probe app can make, with arguments drawn from the names
+    it knows and a few it does not; container worlds can also tick."""
+    os, c = world.os, world.container
+    packages = sorted(set(os.registry) | set(c.plugin_manifests if c else ()))
+    packages.append("org.absent.app")
+    declared = world.probe_manifest
+    absent = [".Absent"]
+    receivers = [r.name for r in declared.receivers] + absent
+    natives = sorted(declared.native_components) + absent
+    names_by_kind = {
+        "register_receiver": receivers, "unregister_receiver": receivers,
+        "native_blob_write": natives, "native_blob_read": natives,
+    }
+    components = [comp.name for comp in declared.components()] + absent
+    actions = sorted({a for r in declared.receivers for a in r.intents})
+    actions.append("org.absent.ACTION")
+
+    def call_of(kind):
+        if kind == TICK:
+            return st.just(TICK)
+        return st.builds(
+            ApiCall,
+            kind=st.just(kind),
+            package=st.sampled_from(packages),
+            permission=st.sampled_from(sorted(ALL_PERMISSIONS)),
+            store=st.sampled_from(STORE_NAMES + ("absent",)),
+            cmd=st.sampled_from(("ps", "ls", "rm")),
+            name=st.sampled_from(names_by_kind.get(kind, components)),
+            component_kind=st.sampled_from(COMPONENT_KINDS),
+            action=st.sampled_from(actions),
+            actions=st.lists(st.sampled_from(actions), max_size=2),
+            label=st.sampled_from(("Label", "Other")),
+            icon=st.just("ic.png"),
+            target_package=st.sampled_from(packages),
+            token=st.sampled_from(("t1", "t2")),
+        )
+
+    kinds = sorted(API_KINDS) + ([TICK] if c else [])
+    return st.sampled_from(kinds).flatmap(call_of)
+
+
+def apply(world, op):
+    """One operation's reply, or the type and message of the OS error it raised."""
+    try:
+        if op == TICK:
+            return tick_services(world.os, world.container)
+        return EnvHandle(world).call(op)
+    except SimOsError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("env", ENVIRONMENTS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fork_behaves_like_deepcopy(worlds_by_env, env, data):
+    # deepcopy is the reference isolation here: a fork must answer every
+    # call the same way, end in the same state, and leave its parent alone.
+    # The parent is itself a deep copy, so a leaky fork cannot spoil the
+    # module's world for later examples.
+    pristine = worlds_by_env[env]
+    parent = copy.deepcopy(pristine)
+    fork, reference = parent.fork(), copy.deepcopy(parent)
+    for op in data.draw(st.lists(operations(parent), min_size=1, max_size=20)):
+        assert apply(fork, op) == apply(reference, op), op
+    assert world_state(fork) == world_state(reference)
+    assert world_state(parent) == world_state(pristine)
+
+
 def test_modelled_failure_is_an_error_verdict(worlds_by_env):
-    world = copy.deepcopy(worlds_by_env[NATIVE_ENV])
+    world = worlds_by_env[NATIVE_ENV].fork()
     del world.os.processes[world.probe_pid]
     outcome = run_probe(EnvHandle(world), "4")
     assert outcome.verdict == Verdict.ERROR
@@ -146,7 +233,7 @@ def test_modelled_failure_is_an_error_verdict(worlds_by_env):
 
 def test_python_error_in_probe_propagates(worlds_by_env):
     # Broken bookkeeping is a bug, not a modelled failure: no error cell.
-    world = copy.deepcopy(worlds_by_env[NAIVE_ENV])
+    world = worlds_by_env[NAIVE_ENV].fork()
     del world.container.plugin_data_dirs[world.probe_manifest.package]
     with pytest.raises(KeyError):
         run_probe(EnvHandle(world), "9")
@@ -180,7 +267,7 @@ def test_hook_monotonicity(scenario):
 
 def test_unknown_probe_id_rejected(worlds_by_env):
     with pytest.raises(ValueError):
-        run_probe(EnvHandle(copy.deepcopy(worlds_by_env[NATIVE_ENV])), "99")
+        run_probe(EnvHandle(worlds_by_env[NATIVE_ENV].fork()), "99")
 
 
 def test_detection_report_serialization(worlds_by_env):
