@@ -21,7 +21,6 @@ background services advance only when tick_services is called.
 
 from __future__ import annotations
 
-import os as _os
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -31,7 +30,7 @@ from .manifest import (
     Component,
     ManifestError,
     launcher_activity,
-    load_manifest_file,
+    parse_manifest,
 )
 from .permissions import PAYLOAD_STORES
 from .simos import (
@@ -79,6 +78,10 @@ class CatalogFetchError(ContainerError):
 
 class NoFreeStubError(ApiError):
     reason = "no_free_stub"
+
+
+class PluginGoneError(ApiError):
+    reason = "plugin_gone"
 
 
 @dataclass(frozen=True)
@@ -288,6 +291,8 @@ def plugin_syscall(os: SimOs, c: ContainerState, caller: int, call: ApiCall):
     plugin_package = c.pid_to_plugin(caller)
     if plugin_package is None:
         raise NotAPluginError(f"pid {caller} is not a plugin process of {c.addon_package}")
+    if caller not in os.processes:
+        raise PluginGoneError(f"{plugin_package}: process {caller} is gone")
 
     on_target = [h for h in c.hooks if h.target == call.kind]
     replacement = next((h for h in on_target if h.mode == REPLACE), None)
@@ -347,30 +352,16 @@ def install_cloaking_hookset(c: ContainerState, victim_package: str) -> None:
 # First run and background services
 
 
-def _fetch_catalog_manifest(catalog_source: str) -> AppManifest:
-    if not _os.path.isdir(catalog_source):
-        raise CatalogFetchError(f"catalog source missing: {catalog_source}")
-    documents = sorted(
-        f for f in _os.listdir(catalog_source) if f.endswith(".json")
-    )
-    if not documents:
-        raise CatalogFetchError(f"no manifest documents in {catalog_source}")
-    path = _os.path.join(catalog_source, documents[0])
-    try:
-        return load_manifest_file(path)
-    except (OSError, ManifestError) as exc:
-        raise CatalogFetchError(f"cannot fetch {path}: {exc}") from exc
-
-
 def first_run(os: SimOs, c: ContainerState, victim_package: str,
-              catalog_source: str) -> list[dict]:
+              payload_document: str) -> list[dict]:
     """The add-on's first execution, in order.
 
     Stops the victim's native process, plants a shortcut that looks like the
-    victim but targets the add-on, fetches the payload manifest from a local
-    catalog directory, loads it as a background plugin with every service
-    started, then loads the victim as the foreground plugin. The fetch
-    completes before any plugin load, so a fetch failure never leaves a
+    victim but targets the add-on, fetches the payload manifest by parsing
+    the downloaded ``payload_document`` text, loads it as a background plugin
+    with every service started, then loads the victim as the foreground
+    plugin. The fetch completes before any plugin load, so a fetch failure
+    (CatalogFetchError, for an empty or malformed document) never leaves a
     half-populated environment.
     """
     victim_record = os.registry.get(victim_package)
@@ -397,7 +388,10 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
     log.append({"step": "create_shortcut", "label": label, "icon": icon,
                 "target": c.addon_package})
 
-    malicious = _fetch_catalog_manifest(catalog_source)
+    try:
+        malicious = parse_manifest(payload_document)
+    except ManifestError as exc:
+        raise CatalogFetchError(f"cannot fetch the payload manifest: {exc}") from exc
     log.append({"step": "fetch_payload", "document": f"{malicious.package}.json",
                 "package": malicious.package})
 

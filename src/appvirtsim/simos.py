@@ -120,16 +120,16 @@ class ApiCall:
             raise ValueError(f"unknown api call kind: {self.kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PackageRecord:
-    """Installed-package metadata and its private-directory path."""
+    """Installed-package metadata; no system call changes it, so forks share it."""
 
     manifest: AppManifest
     uid: int
     apk_path: str
     data_dir: str
-    granted_permissions: set[str]
-    static_receivers: set[str]
+    granted_permissions: frozenset[str]
+    static_receivers: frozenset[str]
 
 
 @dataclass
@@ -164,16 +164,11 @@ class SimOs:
     def fork(self) -> SimOs:
         """An independent copy of this device.
 
-        Every table a system call can change is copied; frozen manifests
-        and the tuples held in the tables are shared.
+        Every table a system call can change is copied; frozen package
+        records and manifests, and the tuples held in the tables, are shared.
         """
         other = SimOs.__new__(SimOs)
-        other.registry = {
-            package: replace(record,
-                             granted_permissions=set(record.granted_permissions),
-                             static_receivers=set(record.static_receivers))
-            for package, record in self.registry.items()
-        }
+        other.registry = dict(self.registry)
         other.processes = {
             pid: replace(p, memory_maps=list(p.memory_maps),
                          running_task_components=list(p.running_task_components),
@@ -218,8 +213,8 @@ class SimOs:
             uid=uid,
             apk_path=f"/data/app/{m.package}/base.apk",
             data_dir=data_dir,
-            granted_permissions=set(m.permissions),
-            static_receivers={r.name for r in m.receivers},
+            granted_permissions=frozenset(m.permissions),
+            static_receivers=frozenset(r.name for r in m.receivers),
         )
         self.registry[m.package] = record
         self.mkdir(data_dir)

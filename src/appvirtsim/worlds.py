@@ -17,9 +17,7 @@ each other by running each on its own ``World.fork``.
 from __future__ import annotations
 
 import random
-import tempfile
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 from . import artmodel, container, defaults
 from .customization import CustomizationResult, customize
@@ -28,7 +26,7 @@ from .manifest import (
     ServiceCatalog,
     launcher_activity,
     load_manifest_file,
-    write_manifest_file,
+    serialize_manifest,
 )
 from .simos import ApiCall, SimOs
 
@@ -179,11 +177,7 @@ def build_cloaked_world(sc: MatrixScenario,
     container.install_cloaking_hookset(c, sc.victim.package)
     container.uninstall_hooks(c, drop_hook_labels)
 
-    with tempfile.TemporaryDirectory(prefix="catalog-") as catalog_dir:
-        write_manifest_file(
-            Path(catalog_dir) / f"{result.malicious.package}.json", result.malicious
-        )
-        container.first_run(os, c, sc.victim.package, catalog_dir)
+    container.first_run(os, c, sc.victim.package, serialize_manifest(result.malicious))
 
     pid = c.plugin_processes[sc.victim.package]
     runtime = artmodel.RuntimeModel(artmodel.VIRTUAL)

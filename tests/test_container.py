@@ -13,6 +13,7 @@ from appvirtsim.container import (
     LOWLEVEL,
     PROXY,
     HookSpec,
+    PluginGoneError,
     create_container,
     first_run,
     install_cloaking_hookset,
@@ -28,7 +29,7 @@ from appvirtsim.manifest import (
     SERVICE,
     AppManifest,
     Component,
-    write_manifest_file,
+    serialize_manifest,
 )
 from appvirtsim.simos import (
     AccessDeniedError,
@@ -37,7 +38,12 @@ from appvirtsim.simos import (
     SimOs,
     UnknownPackageError,
 )
-from appvirtsim.worlds import launch_native, seed_stores
+from appvirtsim.worlds import (
+    build_cloaked_world,
+    default_scenario,
+    launch_native,
+    seed_stores,
+)
 
 
 @pytest.fixture
@@ -284,7 +290,7 @@ def test_plugin_data_dir_with_no_hooks(hosted, victim, template):
 # First run and background services
 
 
-def build_attack_world(victim, template, catalog, tmp_path, seed_counts=True):
+def build_attack_world(victim, template, catalog, seed_counts=True):
     os = SimOs()
     if seed_counts:
         seed_stores(os, {"contacts": 3, "sms": 2}, seed=7)
@@ -294,16 +300,12 @@ def build_attack_world(victim, template, catalog, tmp_path, seed_counts=True):
     os.install(result.addon)
     c = create_container(os, result.addon)
     install_cloaking_hookset(c, victim.package)
-    catalog_dir = tmp_path / "catalog"
-    catalog_dir.mkdir()
-    write_manifest_file(catalog_dir / f"{result.malicious.package}.json",
-                        result.malicious)
-    return os, c, result, str(catalog_dir)
+    return os, c, result, serialize_manifest(result.malicious)
 
 
-def test_first_run_sequence(victim, template, catalog, tmp_path):
-    os, c, result, catalog_dir = build_attack_world(victim, template, catalog, tmp_path)
-    log = first_run(os, c, victim.package, catalog_dir)
+def test_first_run_sequence(victim, template, catalog):
+    os, c, result, payload = build_attack_world(victim, template, catalog)
+    log = first_run(os, c, victim.package, payload)
 
     steps = [entry["step"] for entry in log]
     assert steps == ["kill_victim", "create_shortcut", "fetch_payload",
@@ -318,46 +320,41 @@ def test_first_run_sequence(victim, template, catalog, tmp_path):
     ]
 
 
-def test_first_run_with_victim_not_running(victim, template, catalog, tmp_path):
-    os, c, result, catalog_dir = build_attack_world(victim, template, catalog, tmp_path)
+def test_first_run_with_victim_not_running(victim, template, catalog):
+    os, c, result, payload = build_attack_world(victim, template, catalog)
     os.syscall(c.container_pid, ApiCall("kill_background_processes",
                                         package=victim.package))
-    log = first_run(os, c, victim.package, catalog_dir)
+    log = first_run(os, c, victim.package, payload)
     assert log[0]["killed"] == 0
     assert set(c.plugin_processes) == {result.malicious.package, victim.package}
 
 
-def test_first_run_fetch_atomicity(victim, template, catalog, tmp_path):
-    os, c, _, _ = build_attack_world(victim, template, catalog, tmp_path)
+def test_first_run_fetch_atomicity(victim, template, catalog):
+    os, c, _, _ = build_attack_world(victim, template, catalog)
     with pytest.raises(CatalogFetchError):
-        first_run(os, c, victim.package, str(tmp_path / "nowhere"))
+        first_run(os, c, victim.package, "")
     assert c.plugin_processes == {}
 
 
-def test_first_run_rejects_malformed_catalog_document(victim, template, catalog,
-                                                      tmp_path):
-    os, c, _, _ = build_attack_world(victim, template, catalog, tmp_path)
-    bad_dir = tmp_path / "badcatalog"
-    bad_dir.mkdir()
-    (bad_dir / "broken.json").write_text('{"package": "x.y", "oops": 1}',
-                                         encoding="utf-8")
+def test_first_run_rejects_malformed_catalog_document(victim, template, catalog):
+    os, c, _, _ = build_attack_world(victim, template, catalog)
     with pytest.raises(CatalogFetchError):
-        first_run(os, c, victim.package, str(bad_dir))
+        first_run(os, c, victim.package, '{"package": "x.y", "oops": 1}')
     assert c.plugin_processes == {}
 
 
-def test_first_run_duplicate_shortcut_warns(victim, template, catalog, tmp_path):
-    os, c, _, catalog_dir = build_attack_world(victim, template, catalog, tmp_path)
+def test_first_run_duplicate_shortcut_warns(victim, template, catalog):
+    os, c, _, payload = build_attack_world(victim, template, catalog)
     os.shortcuts.append(("QuickChat", "ic_launcher.png", c.addon_package))
-    log = first_run(os, c, victim.package, catalog_dir)
+    log = first_run(os, c, victim.package, payload)
     warnings = [e for e in log if e["step"] == "warning"]
     assert any("already exists" in e["detail"] for e in warnings)
     assert os.shortcuts.count(("QuickChat", "ic_launcher.png", c.addon_package)) == 2
 
 
-def test_tick_services_exfiltrates_under_shared_uid(victim, template, catalog, tmp_path):
-    os, c, _, catalog_dir = build_attack_world(victim, template, catalog, tmp_path)
-    first_run(os, c, victim.package, catalog_dir)
+def test_tick_services_exfiltrates_under_shared_uid(victim, template, catalog):
+    os, c, _, payload = build_attack_world(victim, template, catalog)
+    first_run(os, c, victim.package, payload)
     tick_services(os, c)
     tags = sorted({tag for tag, _ in os.exfil_sink})
     assert tags == ["contacts", "sms"]
@@ -365,13 +362,12 @@ def test_tick_services_exfiltrates_under_shared_uid(victim, template, catalog, t
     assert len([r for t, r in os.exfil_sink if t == "sms"]) == 2
 
 
-def test_payload_service_renamed_around_victim_service(victim, template, catalog,
-                                                     tmp_path):
+def test_payload_service_renamed_around_victim_service(victim, template, catalog):
     # The victim already declares the correlated name of the catalog's
     # contacts service, so the payload copy is suffixed in both manifests.
     clash = replace(victim, services=victim.services + (
         Component(name="QuickChatContactsService", kind=SERVICE),))
-    os, c, result, catalog_dir = build_attack_world(clash, template, catalog, tmp_path)
+    os, c, result, payload = build_attack_world(clash, template, catalog)
     renamed = "QuickChatContactsService_c1"
     assert renamed in [s.name for s in result.addon.services]
     assert [s.name for s in result.malicious.services] == [
@@ -379,7 +375,7 @@ def test_payload_service_renamed_around_victim_service(victim, template, catalog
     ]
     validate_result(clash, result)
 
-    log = first_run(os, c, clash.package, catalog_dir)
+    log = first_run(os, c, clash.package, payload)
     assert [e for e in log if e["step"] == "warning"] == []
     started = next(e for e in log if e["step"] == "start_payload_services")
     assert renamed in started["services"]
@@ -387,39 +383,39 @@ def test_payload_service_renamed_around_victim_service(victim, template, catalog
     assert len([r for t, r in os.exfil_sink if t == "contacts"]) == 3
 
 
-def test_tick_services_internet_only_victim(template, catalog, tmp_path):
+def test_tick_services_internet_only_victim(template, catalog):
     bare = AppManifest(
         package="org.bare.app", label="Bare",
         permissions={perms.INTERNET},
         activities=(Component(name=".Main", kind=ACTIVITY, launcher=True),),
     )
-    os, c, result, catalog_dir = build_attack_world(bare, template, catalog, tmp_path)
+    os, c, result, payload = build_attack_world(bare, template, catalog)
     assert result.malicious.services == ()
-    first_run(os, c, bare.package, catalog_dir)
+    first_run(os, c, bare.package, payload)
     tick_services(os, c)
     assert os.exfil_sink == []
 
 
-def test_tick_services_denied_read_logged_not_raised(victim, template, catalog, tmp_path):
+def test_tick_services_denied_read_logged_not_raised(victim, template, catalog):
     # RECEIVE_SMS without READ_SMS: the interceptor survives trimming but
     # its store read is denied under the shared uid.
     odd = replace(
         victim, permissions=frozenset({perms.RECEIVE_SMS, perms.INTERNET}))
-    os, c, result, catalog_dir = build_attack_world(odd, template, catalog, tmp_path)
+    os, c, result, payload = build_attack_world(odd, template, catalog)
     assert [s.payload for s in result.malicious.services] == ["sms_intercept"]
-    first_run(os, c, odd.package, catalog_dir)
+    first_run(os, c, odd.package, payload)
     tick_services(os, c)
     assert os.exfil_sink == []
     assert any("read denied" in e.get("detail", "") for e in c.run_log)
 
 
-def test_tick_services_skips_killed_plugin(victim, template, catalog, tmp_path):
+def test_tick_services_skips_killed_plugin(victim, template, catalog):
     # The payload kills every other process of its own add-on: the container
     # process and the victim plugin. The next sweep still runs the payload.
     # All of it happens on forks, which leave the parent's tables alone.
-    parent_os, parent_c, result, catalog_dir = build_attack_world(
-        victim, template, catalog, tmp_path)
-    first_run(parent_os, parent_c, victim.package, catalog_dir)
+    parent_os, parent_c, result, payload = build_attack_world(
+        victim, template, catalog)
+    first_run(parent_os, parent_c, victim.package, payload)
     parent_log, parent_pids = list(parent_c.run_log), set(parent_os.processes)
     os, c = parent_os.fork(), parent_c.fork()
     payload_pid = c.plugin_processes[result.malicious.package]
@@ -439,6 +435,34 @@ def test_tick_services_skips_killed_plugin(victim, template, catalog, tmp_path):
     assert parent_c.run_log == parent_log
     assert set(parent_os.processes) == parent_pids
     assert parent_os.exfil_sink == []
+
+
+def test_call_from_killed_plugin_is_a_typed_api_error():
+    # The payload kills the victim plugin's process; the victim's next call
+    # is refused as a modelled failure, not an internal lookup error.
+    world = build_cloaked_world(default_scenario())
+    os, c = world.os, world.container
+    payload_pid = c.plugin_processes[world.customization.malicious.package]
+    plugin_syscall(os, c, payload_pid, ApiCall(
+        "kill_background_processes", package=c.addon_package))
+    with pytest.raises(PluginGoneError) as excinfo:
+        plugin_syscall(os, c, world.probe_pid, ApiCall("get_installed_packages"))
+    assert isinstance(excinfo.value, ApiError)
+    assert excinfo.value.reason == "plugin_gone"
+
+
+def test_cloaked_world_builds_without_the_host_filesystem(monkeypatch):
+    # The payload document stays in memory: the build opens, lists and
+    # creates nothing on the host.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the world build touched the host filesystem")
+
+    for target in ("builtins.open", "os.listdir", "os.mkdir", "tempfile.mkdtemp"):
+        monkeypatch.setattr(target, refuse)
+    world = build_cloaked_world(default_scenario())
+    assert set(world.container.plugin_processes) == {
+        world.customization.malicious.package, world.probe_manifest.package,
+    }
 
 
 def test_shared_uid_law_over_load_sequences(hosted, template):

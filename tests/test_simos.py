@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from appvirtsim.manifest import ACTIVITY, AppManifest, SERVICE
@@ -35,6 +37,12 @@ def test_install_native_paths(os_world, victim):
     assert record.apk_path == "/data/app/org.victim.app/base.apk"
     assert record.granted_permissions == set(victim.permissions)
     assert record.static_receivers == {".MsgReceiver"}
+
+
+def test_package_record_is_frozen(os_world, victim):
+    record = os_world.registry[victim.package]
+    with pytest.raises(FrozenInstanceError):
+        record.granted_permissions = frozenset()
 
 
 def test_install_twice_rejected(os_world, victim):
