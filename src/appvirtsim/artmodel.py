@@ -14,7 +14,7 @@ environment when a warmed-up sentinel method still reads zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .outcomes import ProbeOutcome, Verdict
 
@@ -39,7 +39,7 @@ class InsufficientWarmupError(RuntimeError):
     """The sentinel has not been invoked often enough to judge."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArtMethodRecord:
     method_name: str
     compile_mode: str
@@ -57,9 +57,9 @@ class RuntimeModel:
         self.methods: dict[str, ArtMethodRecord] = {}
 
     def fork(self) -> RuntimeModel:
-        """An independent copy: one fresh record per method."""
+        """An independent copy: a new method table sharing the frozen records."""
         other = RuntimeModel(self.environment_kind)
-        other.methods = {name: replace(r) for name, r in self.methods.items()}
+        other.methods = dict(self.methods)
         return other
 
     @property
@@ -78,9 +78,10 @@ class RuntimeModel:
         if loop_iterations < 0:
             raise ValueError("loop_iterations must be >= 0")
         record = self.method(method_name)
-        record.invocations += 1
-        if record.compile_mode == HYBRID:
-            record.hotness_count += 1 + loop_iterations
+        ticks = 1 + loop_iterations if record.compile_mode == HYBRID else 0
+        self.methods[method_name] = ArtMethodRecord(
+            method_name, record.compile_mode, record.hotness_count + ticks, record.invocations + 1
+        )
 
 
 def warm_up(rt: RuntimeModel) -> None:

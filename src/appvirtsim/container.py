@@ -124,24 +124,28 @@ class ContainerState:
     component_stub_map: dict[tuple[str, str, str], str] = field(default_factory=dict)
     foreground_plugin: str | None = None
     # Dispatch order: lowlevel before proxy, each layer in installation order.
-    hooks: list[HookSpec] = field(default_factory=list)
+    hooks: tuple[HookSpec, ...] = ()
     run_log: list[dict] = field(default_factory=list)
 
     def fork(self) -> ContainerState:
-        """An independent copy of the environment's bookkeeping.
-
-        Manifests, components and hooks are frozen and shared, and so are
-        the run-log entries, which are never changed once appended.
-        """
-        return replace(
-            self,
+        """An independent copy of the environment's bookkeeping: the dicts and
+        the run log are copied shallowly. Frozen manifests and stubs, run-log
+        entries (never changed once appended) and the ``hooks`` tuple (rebound,
+        never mutated, by install and uninstall) are shared."""
+        return ContainerState(
+            addon_package=self.addon_package,
+            addon_manifest=self.addon_manifest,
+            container_pid=self.container_pid,
+            plugin_data_root=self.plugin_data_root,
+            stub_components=self.stub_components,
             plugin_manifests=dict(self.plugin_manifests),
             plugin_processes=dict(self.plugin_processes),
             plugin_apk_paths=dict(self.plugin_apk_paths),
             plugin_data_dirs=dict(self.plugin_data_dirs),
             stub_assignments=dict(self.stub_assignments),
             component_stub_map=dict(self.component_stub_map),
-            hooks=list(self.hooks),
+            foreground_plugin=self.foreground_plugin,
+            hooks=self.hooks,
             run_log=list(self.run_log),
         )
 
@@ -211,16 +215,14 @@ def load_plugin(os: SimOs, c: ContainerState, plugin: AppManifest,
 
 def install_hook(c: ContainerState, h: HookSpec) -> None:
     """Add after the layer's last hook; duplicates compose, nothing deduplicates."""
-    if h.layer == LOWLEVEL:
-        c.hooks.insert(sum(x.layer == LOWLEVEL for x in c.hooks), h)
-    else:
-        c.hooks.append(h)
+    at = sum(x.layer == LOWLEVEL for x in c.hooks) if h.layer == LOWLEVEL else len(c.hooks)
+    c.hooks = c.hooks[:at] + (h,) + c.hooks[at:]
 
 
 def uninstall_hooks(c: ContainerState, labels) -> int:
     """Drop every installed hook whose label is in ``labels``; returns count removed."""
     wanted = set(labels)
-    kept = [h for h in c.hooks if h.label not in wanted]
+    kept = tuple(h for h in c.hooks if h.label not in wanted)
     removed = len(c.hooks) - len(kept)
     c.hooks = kept
     return removed
@@ -431,7 +433,7 @@ def tick_services(os: SimOs, c: ContainerState) -> None:
                 "detail": f"{package}: process {pid} is gone; not ticked",
             })
             continue
-        for service_name in list(proc.running_services):
+        for service_name in proc.running_services:
             service = manifest.component(SERVICE, service_name)
             if service is None or service.payload is None:
                 continue

@@ -54,6 +54,10 @@ def _correlated_name(name: str, victim_label: str) -> str:
     return name
 
 
+def _named(comp: Component, name: str) -> Component:
+    return comp if name == comp.name else replace(comp, name=name)
+
+
 def step1_permissions(victim: AppManifest, addon_template: AppManifest) -> AppManifest:
     """Replace the template's permission/feature sets with the victim's plus extras."""
     return replace(
@@ -74,9 +78,7 @@ def step2_trim_malicious(victim: AppManifest, catalog: ServiceCatalog) -> AppMan
         svc for svc in catalog.entries
         if svc.requires_permissions <= victim.permissions
     ]
-    renamed = tuple(
-        replace(svc, name=_correlated_name(svc.name, victim.label)) for svc in kept
-    )
+    renamed = tuple(_named(svc, _correlated_name(svc.name, victim.label)) for svc in kept)
     permissions = frozenset().union(*(svc.requires_permissions for svc in kept)) \
         if kept else frozenset()
     return AppManifest(
@@ -114,7 +116,7 @@ def step3_components(
             k += 1
             name = f"{comp.name}_c{k}"
         used.add(name)
-        by_kind[comp.kind].append(replace(comp, name=name))
+        by_kind[comp.kind].append(_named(comp, name))
         return name
 
     # Victim and payload components enter the add-on with their name, kind
@@ -124,12 +126,11 @@ def step3_components(
         place(Component(comp.name, comp.kind, intents=comp.intents))
     for comp in malicious.components():
         name = place(Component(comp.name, comp.kind, intents=comp.intents))
-        payload[comp.kind].append(replace(comp, name=name))
+        payload[comp.kind].append(_named(comp, name))
 
     rename_map: dict[str, str] = {}
     for comp in addon.components():
-        rename_map[comp.name] = place(
-            replace(comp, name=_correlated_name(comp.name, victim.label)))
+        rename_map[comp.name] = place(_named(comp, _correlated_name(comp.name, victim.label)))
 
     return (_with_components(addon, by_kind), rename_map,
             _with_components(malicious, payload))

@@ -7,11 +7,13 @@ proxies wrap and detection probes call.
 
 A SimOs is a single mutable world driven sequentially by one owner; distinct
 instances are independent, and ``SimOs.fork`` branches one into another.
+Every row and value the tables hold is immutable (a frozen dataclass, tuple
+or frozenset), and a change stores a new one, so a fork copies only tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .manifest import ACTIVITY, PROVIDER, SERVICE, AppManifest
 from .permissions import (
@@ -132,17 +134,17 @@ class PackageRecord:
     static_receivers: frozenset[str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimProcess:
-    """One process-table row."""
+    """One process-table row; a launch stores a new row, so forks share rows."""
 
     pid: int
     uid: int
     name: str
     owner_package: str
-    memory_maps: list[str] = field(default_factory=list)
-    running_task_components: list[tuple[str, str]] = field(default_factory=list)
-    running_services: list[str] = field(default_factory=list)
+    memory_maps: tuple[str, ...] = ()
+    running_task_components: tuple[tuple[str, str], ...] = ()
+    running_services: tuple[str, ...] = ()
 
 
 class SimOs:
@@ -154,41 +156,34 @@ class SimOs:
         self.shortcuts: list[tuple[str, str, str]] = []
         # (uid, receiver name) -> actions it listens for
         self.dynamic_receivers: dict[tuple[int, str], tuple[str, ...]] = {}
-        self.data_stores: dict[str, list[str]] = {s: [] for s in STORE_NAMES}
+        self.data_stores: dict[str, tuple[str, ...]] = {s: () for s in STORE_NAMES}
         # Append-only: (payload tag, record)
         self.exfil_sink: list[tuple[str, str]] = []
-        # (uid, native component name) -> [(writer process name, token)]
-        self.native_blobs: dict[tuple[int, str], list[tuple[str, str]]] = {}
-        self.fs_dirs: set[str] = set()
+        # (uid, native component name) -> ((writer process name, token), ...)
+        self.native_blobs: dict[tuple[int, str], tuple[tuple[str, str], ...]] = {}
+        self.fs_dirs: frozenset[str] = frozenset()
 
     def fork(self) -> SimOs:
-        """An independent copy of this device.
-
-        Every table a system call can change is copied; frozen package
-        records and manifests, and the tuples held in the tables, are shared.
-        """
+        """An independent copy of this device: each dict and list is copied
+        shallowly, sharing its immutable rows and values, and ``fs_dirs``, a
+        frozenset that ``mkdir`` rebinds, is shared whole."""
         other = SimOs.__new__(SimOs)
         other.registry = dict(self.registry)
-        other.processes = {
-            pid: replace(p, memory_maps=list(p.memory_maps),
-                         running_task_components=list(p.running_task_components),
-                         running_services=list(p.running_services))
-            for pid, p in self.processes.items()
-        }
+        other.processes = dict(self.processes)
         other.next_pid = self.next_pid
         other.next_uid = self.next_uid
         other.shortcuts = list(self.shortcuts)
         other.dynamic_receivers = dict(self.dynamic_receivers)
-        other.data_stores = {s: list(records) for s, records in self.data_stores.items()}
+        other.data_stores = dict(self.data_stores)
         other.exfil_sink = list(self.exfil_sink)
-        other.native_blobs = {k: list(entries) for k, entries in self.native_blobs.items()}
-        other.fs_dirs = set(self.fs_dirs)
+        other.native_blobs = dict(self.native_blobs)
+        other.fs_dirs = self.fs_dirs
         return other
 
     # -- filesystem bookkeeping -------------------------------------------
 
     def mkdir(self, path: str) -> None:
-        self.fs_dirs.add(path.rstrip("/"))
+        self.fs_dirs = self.fs_dirs | {path.rstrip("/")}
 
     def list_dir(self, path: str) -> list[str]:
         prefix = path.rstrip("/") + "/"
@@ -229,13 +224,7 @@ class SimOs:
             raise UnknownPackageError(f"{package} is not installed")
         pid = self.next_pid
         self.next_pid += 1
-        self.processes[pid] = SimProcess(
-            pid=pid,
-            uid=record.uid,
-            name=name,
-            owner_package=package,
-            memory_maps=list(maps),
-        )
+        self.processes[pid] = SimProcess(pid, record.uid, name, package, tuple(maps))
         return pid
 
     def process(self, pid: int) -> SimProcess:
@@ -247,7 +236,7 @@ class SimOs:
     def seed_store(self, store: str, records: list[str]) -> None:
         if store not in self.data_stores:
             raise UnknownStoreError(f"no such store: {store}")
-        self.data_stores[store] = list(records)
+        self.data_stores[store] = tuple(records)
 
     def _identity(self, proc: SimProcess) -> PackageRecord:
         record = self.registry.get(proc.owner_package)
@@ -401,6 +390,10 @@ class SimOs:
         ]
         for pid in doomed:
             del self.processes[pid]
+        # Dynamic registrations die with the last process of their UID.
+        live = {p.uid for p in self.processes.values()}
+        for key in [k for k in self.dynamic_receivers if k[0] not in live]:
+            del self.dynamic_receivers[key]
         return len(doomed)
 
     def _launch(self, proc, call):
@@ -410,21 +403,24 @@ class SimOs:
             raise ComponentNotRegisteredError(
                 f"{call.name} is not a registered {kind} of {proc.owner_package}"
             )
+        tasks, services = proc.running_task_components, proc.running_services
         if kind == ACTIVITY:
-            proc.running_task_components.append((ACTIVITY, comp.name))
+            tasks += ((ACTIVITY, comp.name),)
         elif kind == SERVICE:
-            proc.running_services.append(comp.name)
+            services += (comp.name,)
+        self.processes[proc.pid] = SimProcess(proc.pid, proc.uid, proc.name, proc.owner_package,
+                                              proc.memory_maps, tasks, services)
         return comp.name
 
     _op_start_activity = _op_start_service = _op_acquire_provider = _launch
 
     def _op_native_blob_write(self, proc, call):
         key = (proc.uid, call.name or "")
-        self.native_blobs.setdefault(key, []).append((proc.name, call.token or ""))
+        self.native_blobs[key] = self.native_blobs.get(key, ()) + ((proc.name, call.token or ""),)
         return {"entries": len(self.native_blobs[key])}
 
     def _op_native_blob_read(self, proc, call):
-        return [list(entry) for entry in self.native_blobs.get((proc.uid, call.name or ""), [])]
+        return [list(entry) for entry in self.native_blobs.get((proc.uid, call.name or ""), ())]
 
 
 # The system-call surface, one kind per _op_ handler. Lifecycle starts and the

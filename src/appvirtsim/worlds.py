@@ -17,7 +17,7 @@ each other by running each on its own ``World.fork``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import artmodel, container, defaults
 from .customization import CustomizationResult, customize
@@ -86,14 +86,12 @@ class World:
     customization: CustomizationResult | None = None
 
     def fork(self) -> World:
-        """An independent copy: the OS, container and runtime are forked,
-        the probe manifest and customization result are shared."""
-        return replace(
-            self,
-            os=self.os.fork(),
-            runtime=self.runtime.fork(),
-            container=None if self.container is None else self.container.fork(),
-        )
+        """An independent copy: the OS, container and runtime are forked; the
+        frozen probe manifest and the customization result, which nothing
+        changes after the build, are shared."""
+        return World(self.environment, self.os.fork(), self.probe_pid, self.probe_manifest,
+                     self.runtime.fork(), self.container and self.container.fork(),
+                     self.customization)
 
 
 class EnvHandle:

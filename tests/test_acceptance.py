@@ -173,7 +173,7 @@ def test_criterion_5_exfiltration_soundness():
         sms = [r for tag, r in world.os.exfil_sink
                if tag in ("sms", "sms_intercept")]
         assert len(contacts) == 3, world.os.exfil_sink
-        assert contacts == world.os.data_stores["contacts"]  # store oracle
+        assert contacts == list(world.os.data_stores["contacts"])  # store oracle
         assert sms == []
 
 

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,7 @@ from appvirtsim.artmodel import (
     NATIVE,
     VIRTUAL,
     InsufficientWarmupError,
+    SENTINEL,
     RuntimeModel,
     hotness_check,
     warm_up,
@@ -33,6 +36,13 @@ def test_aot_counter_stays_zero():
     assert record.compile_mode == AOT
     assert record.hotness_count == 0
     assert record.invocations == 5
+
+
+def test_method_record_is_frozen():
+    rt = RuntimeModel(VIRTUAL)
+    warm_up(rt)
+    with pytest.raises(FrozenInstanceError):
+        rt.methods[SENTINEL].hotness_count = 1
 
 
 def test_default_modes_per_environment():

@@ -170,9 +170,9 @@ def test_relaunch_reuses_assigned_stub(hosted, victim):
     second = plugin_syscall(os, c, pid, ApiCall("start_service", name=".SyncService"))
     assert first == second == ".SyncService"
     assert c.stub_assignments == assigned
-    assert os.processes[pid].running_services == [
+    assert os.processes[pid].running_services == (
         "PluginServiceManager", "PluginServiceManager",
-    ]
+    )
 
 
 def test_set_component_enabled_not_rewritten(hosted, victim):
@@ -315,9 +315,9 @@ def test_first_run_sequence(victim, template, catalog):
     assert set(c.plugin_processes) == {result.malicious.package, victim.package}
     assert c.foreground_plugin == victim.package
     payload_pid = c.plugin_processes[result.malicious.package]
-    assert os.processes[payload_pid].running_services == [
+    assert os.processes[payload_pid].running_services == (
         "QuickChatContactsService", "QuickChatSmsService",
-    ]
+    )
 
 
 def test_first_run_with_victim_not_running(victim, template, catalog):
@@ -435,6 +435,18 @@ def test_tick_services_skips_killed_plugin(victim, template, catalog):
     assert parent_c.run_log == parent_log
     assert set(parent_os.processes) == parent_pids
     assert parent_os.exfil_sink == []
+
+
+def test_fork_hook_and_mkdir_leave_parent_alone(hosted):
+    os, c = hosted
+    hooks, dirs = list(c.hooks), set(os.fs_dirs)
+    os_fork, c_fork = os.fork(), c.fork()
+    install_hook(c_fork, HookSpec(LOWLEVEL, "exec_shell", BEFORE, lambda call: call))
+    os_fork.mkdir("/data/local/tmp")
+    assert len(c_fork.hooks) == len(hooks) + 1
+    assert "/data/local/tmp" in os_fork.fs_dirs
+    assert list(c.hooks) == hooks
+    assert os.fs_dirs == dirs
 
 
 def test_call_from_killed_plugin_is_a_typed_api_error():

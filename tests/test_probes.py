@@ -1,9 +1,10 @@
 import copy
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from appvirtsim.container import CLOAK_HOOK_LABELS, tick_services
+from appvirtsim.container import CLOAK_HOOK_LABELS, HookSpec, tick_services
 from appvirtsim.manifest import COMPONENT_KINDS
 from appvirtsim.outcomes import Verdict
 from appvirtsim.permissions import ALL_PERMISSIONS, STORE_NAMES
@@ -221,6 +222,39 @@ def test_fork_behaves_like_deepcopy(worlds_by_env, env, data):
         assert apply(fork, op) == apply(reference, op), op
     assert world_state(fork) == world_state(reference)
     assert world_state(parent) == world_state(pristine)
+
+
+def immutable(value) -> bool:
+    """Whether nothing reachable from ``value`` can change; a hook's fn may be any callable."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return True
+    if isinstance(value, (tuple, frozenset)):
+        return all(map(immutable, value))
+    if is_dataclass(value) and type(value).__dataclass_params__.frozen:
+        return all((isinstance(value, HookSpec) and f.name == "fn")
+                   or immutable(getattr(value, f.name)) for f in fields(value))
+    return False
+
+
+@pytest.mark.parametrize("env", ENVIRONMENTS)
+def test_fork_shares_only_immutable_values(worlds_by_env, env):
+    # A fork copies each table shallowly and shares everything else, the
+    # tables' contents included, which is safe only if all of that is
+    # immutable all the way down. Run-log entries are plain dicts that
+    # nothing changes once appended.
+    parent = worlds_by_env[env]
+    fork = parent.fork()
+    pairs = [(parent.os, fork.os), (parent.runtime, fork.runtime)]
+    if parent.container is not None:
+        pairs.append((parent.container, fork.container))
+    for original, copied in pairs:
+        for name, value in vars(copied).items():
+            if isinstance(value, (dict, list, set)):
+                assert value is not getattr(original, name), name
+                shared = value.items() if isinstance(value, dict) else value
+                assert name == "run_log" or all(map(immutable, shared)), name
+            else:
+                assert immutable(value), name
 
 
 def test_modelled_failure_is_an_error_verdict(worlds_by_env):

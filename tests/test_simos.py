@@ -45,6 +45,12 @@ def test_package_record_is_frozen(os_world, victim):
         record.granted_permissions = frozenset()
 
 
+def test_process_row_is_frozen(os_world, victim):
+    pid = native_pid(os_world, victim.package)
+    with pytest.raises(FrozenInstanceError):
+        os_world.processes[pid].running_services = ()
+
+
 def test_install_twice_rejected(os_world, victim):
     with pytest.raises(AlreadyInstalledError):
         os_world.install(victim)
@@ -176,6 +182,21 @@ def test_kill_background_processes(os_world, victim, template):
     with pytest.raises(PermissionDeniedError):
         os_world.syscall(unprivileged,
                          ApiCall("kill_background_processes", package=template.package))
+
+
+def test_kill_drops_dynamic_receivers_of_a_dead_uid(os_world, victim, template):
+    os_world.install(template)
+    victim_pid = native_pid(os_world, victim.package)
+    killer = native_pid(os_world, template.package)
+    for pid in (victim_pid, killer):
+        os_world.syscall(pid, ApiCall("register_receiver", name=".Live",
+                                      actions=("app.PING",)))
+    victim_uid = os_world.registry[victim.package].uid
+    killer_uid = os_world.registry[template.package].uid
+    os_world.syscall(killer, ApiCall("kill_background_processes", package=victim.package))
+    assert (victim_uid, ".Live") not in os_world.dynamic_receivers
+    delivered = os_world.syscall(killer, ApiCall("send_broadcast", action="app.PING"))
+    assert delivered == [[f"uid:{killer_uid}", ".Live"]]
 
 
 def test_dynamic_receiver_lifecycle(os_world, victim):
