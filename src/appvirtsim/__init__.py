@@ -7,15 +7,3 @@ the whole detect-versus-bypass matrix.
 """
 
 __version__ = "0.1.0"
-
-from .manifest import (  # noqa: F401
-    AppManifest,
-    Component,
-    ServiceCatalog,
-    parse_manifest,
-    serialize_manifest,
-)
-from .simos import ApiCall, SimOs  # noqa: F401
-from .customization import CustomizationResult, customize  # noqa: F401
-from .probes import DetectionReport, run_matrix, run_probe  # noqa: F401
-from .worlds import MatrixScenario, default_scenario  # noqa: F401

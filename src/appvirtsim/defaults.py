@@ -14,7 +14,6 @@ from .manifest import (
     SERVICE,
     AppManifest,
     Component,
-    ServiceCatalog,
 )
 from . import permissions as perms
 
@@ -110,7 +109,7 @@ def default_template() -> AppManifest:
     )
 
 
-def default_catalog_manifest() -> AppManifest:
+def default_catalog() -> AppManifest:
     """The untrimmed payload manifest: eight services, one per dangerous permission."""
     entries = (
         ("PluginContactsService", perms.READ_CONTACTS, "contacts"),
@@ -139,6 +138,3 @@ def default_catalog_manifest() -> AppManifest:
         launcher_icon="ic_payload.png",
     )
 
-
-def default_catalog() -> ServiceCatalog:
-    return ServiceCatalog.from_manifest(default_catalog_manifest())

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 __all__ = [
     "ACTIVITY",
@@ -50,7 +50,6 @@ __all__ = [
     "NoLauncherError",
     "Component",
     "AppManifest",
-    "ServiceCatalog",
     "parse_manifest",
     "parse_manifest_dict",
     "serialize_manifest",
@@ -202,48 +201,6 @@ class AppManifest:
             if comp.kind == kind and comp.name == name:
                 return comp
         return None
-
-
-@dataclass(frozen=True)
-class ServiceCatalog:
-    """A services-only payload catalog, validated from a manifest document.
-
-    Every entry must be a service carrying a payload tag and requiring the
-    INTERNET permission (the exfiltration channel) among its permissions.
-    """
-
-    package: str
-    label: str
-    version: int
-    launcher_icon: str
-    entries: tuple[Component, ...] = field(default=())
-
-    @classmethod
-    def from_manifest(cls, m: AppManifest) -> "ServiceCatalog":
-        from . import permissions as perms
-
-        if m.activities or m.receivers or m.providers:
-            raise SchemaError(
-                f"{m.package}: payload catalogs declare services only"
-            )
-        if not m.services:
-            raise SchemaError(f"{m.package}: payload catalog has no services")
-        for svc in m.services:
-            if perms.INTERNET not in svc.requires_permissions:
-                raise SchemaError(
-                    f"{svc.name}: catalog services must require INTERNET"
-                )
-            if svc.payload is None:
-                raise SchemaError(f"{svc.name}: catalog service lacks a payload tag")
-            if svc.payload not in perms.PAYLOAD_STORES:
-                raise SchemaError(f"{svc.name}: unknown payload tag {svc.payload!r}")
-        return cls(
-            package=m.package,
-            label=m.label,
-            version=m.version,
-            launcher_icon=m.launcher_icon,
-            entries=m.services,
-        )
 
 
 # ---------------------------------------------------------------------------

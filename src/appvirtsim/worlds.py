@@ -20,10 +20,10 @@ import random
 from dataclasses import dataclass, field
 
 from . import artmodel, container, defaults
-from .customization import CustomizationResult, customize
+from .customization import CustomizationResult, check_catalog, customize
 from .manifest import (
     AppManifest,
-    ServiceCatalog,
+    SchemaError,
     launcher_activity,
     load_manifest_file,
     serialize_manifest,
@@ -42,7 +42,7 @@ class MatrixScenario:
 
     victim: AppManifest
     template: AppManifest
-    catalog: ServiceCatalog
+    catalog: AppManifest
     companion: AppManifest
     seed: int = defaults.DEFAULT_SEED
     store_counts: dict[str, int] = field(
@@ -52,16 +52,21 @@ class MatrixScenario:
 
 def default_scenario(seed: int = defaults.DEFAULT_SEED, victim_path=None,
                      template_path=None, catalog_path=None) -> MatrixScenario:
-    """The built-in scenario; each given manifest path replaces its built-in."""
-    return MatrixScenario(
+    """The built-in scenario; each given manifest path replaces its built-in.
+    A victim that shares its package with another input is a SchemaError."""
+    sc = MatrixScenario(
         victim=load_manifest_file(victim_path) if victim_path else defaults.default_victim(),
         template=(load_manifest_file(template_path)
                   if template_path else defaults.default_template()),
-        catalog=(ServiceCatalog.from_manifest(load_manifest_file(catalog_path))
+        catalog=(check_catalog(load_manifest_file(catalog_path))
                  if catalog_path else defaults.default_catalog()),
         companion=defaults.default_companion(),
         seed=seed,
     )
+    for role in ("template", "companion", "catalog"):
+        if getattr(sc, role).package == sc.victim.package:
+            raise SchemaError(f"victim package {sc.victim.package!r} is also the {role}'s")
+    return sc
 
 
 def seed_stores(os: SimOs, counts: dict[str, int], seed: int) -> None:

@@ -41,7 +41,7 @@ def fixture_paths(tmp_path, victim, template):
     }
     write_manifest_file(paths["victim"], victim)
     write_manifest_file(paths["template"], template)
-    write_manifest_file(paths["catalog"], defaults.default_catalog_manifest())
+    write_manifest_file(paths["catalog"], defaults.default_catalog())
     return paths
 
 

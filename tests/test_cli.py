@@ -1,10 +1,19 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from appvirtsim.cli import compare_to_golden, main
-from appvirtsim.manifest import load_manifest_file
+from appvirtsim import container, customization, defaults
+from appvirtsim.cli import HOOK_DISPATCH_CALLS, compare_to_golden, main
+from appvirtsim.manifest import (
+    ACTIVITY,
+    AppManifest,
+    Component,
+    load_manifest_file,
+    serialize_manifest,
+    write_manifest_file,
+)
 from appvirtsim.outcomes import ProbeOutcome, Verdict
 from appvirtsim.probes import DetectionReport
 from conftest import DATA_DIR, load_golden
@@ -14,6 +23,30 @@ GOLDEN = str(DATA_DIR / "expected_matrix.json")
 
 def run(argv):
     return main(argv)
+
+
+def write_launcherless(path):
+    """A victim document with an activity but no launcher flag."""
+    write_manifest_file(path, AppManifest(
+        package="org.nolaunch.app",
+        activities=(Component(name=".Main", kind=ACTIVITY),),
+    ))
+    return path
+
+
+def assert_one_error_line(capsys, *fragments):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+def fail_validation(monkeypatch):
+    def broken(victim, result):
+        raise customization.CustomizationInvariantError("forced")
+    monkeypatch.setattr(customization, "validate_result", broken)
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +98,38 @@ def test_build_addon_missing_catalog(fixture_paths, tmp_path):
         "--malicious-out", str(tmp_path / "m.json"),
     ])
     assert code == 2
+
+
+def test_build_addon_catalog_with_activity_rejected(fixture_paths, tmp_path, capsys):
+    catalog = tmp_path / "catalog.json"
+    write_manifest_file(catalog, AppManifest(
+        package="com.pluginhost.payload",
+        activities=(Component(name=".Shown", kind=ACTIVITY),),
+        services=defaults.default_catalog().services,
+    ))
+    code = run([
+        "build-addon", "--victim", str(fixture_paths["victim"]),
+        "--template", str(fixture_paths["template"]),
+        "--catalog", str(catalog),
+        "--out", str(tmp_path / "a.json"),
+        "--malicious-out", str(tmp_path / "m.json"),
+    ])
+    assert code == 2
+    assert_one_error_line(capsys, "payload catalogs declare services only")
+    assert not (tmp_path / "a.json").exists()
+
+
+def test_build_addon_invariant_violation(fixture_paths, tmp_path, capsys, monkeypatch):
+    fail_validation(monkeypatch)
+    code = run([
+        "build-addon", "--victim", str(fixture_paths["victim"]),
+        "--template", str(fixture_paths["template"]),
+        "--catalog", str(fixture_paths["catalog"]),
+        "--out", str(tmp_path / "a.json"),
+        "--malicious-out", str(tmp_path / "m.json"),
+    ])
+    assert code == 3
+    assert_one_error_line(capsys, "pipeline invariant violated: forced")
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +234,28 @@ def test_table_and_structured_formats_agree(tmp_path):
 def test_run_matrix_missing_victim_file(tmp_path):
     code = run(["run-matrix", "--victim", str(tmp_path / "ghost.json")])
     assert code == 2
+
+
+def test_run_matrix_launcherless_victim(tmp_path, capsys):
+    victim = write_launcherless(tmp_path / "victim.json")
+    assert run(["run-matrix", "--victim", str(victim)]) == 2
+    assert_one_error_line(capsys, "no launcher activity declared")
+
+
+@pytest.mark.parametrize("role", ["template", "companion", "catalog"])
+def test_run_matrix_victim_package_clash(tmp_path, capsys, role):
+    package = getattr(defaults, f"default_{role}")().package
+    victim = tmp_path / "victim.json"
+    victim.write_text(serialize_manifest(defaults.default_victim()).replace(
+        defaults.VICTIM_PACKAGE, package), encoding="utf-8")
+    assert run(["run-matrix", "--victim", str(victim)]) == 2
+    assert_one_error_line(capsys, repr(package), f"the {role}'s")
+
+
+def test_run_matrix_invariant_violation(capsys, monkeypatch):
+    fail_validation(monkeypatch)
+    assert run(["run-matrix"]) == 3
+    assert_one_error_line(capsys, "pipeline invariant violated: forced")
 
 
 def _strip_durations(document):
@@ -306,6 +393,43 @@ def test_bench_repeat_below_one_rejected(tmp_path, capsys):
 
 def test_bench_missing_corpus(tmp_path):
     assert run(["bench", "--corpus", str(tmp_path / "ghost")]) == 2
+
+
+def test_bench_launcherless_victim_in_corpus(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    run(["gen-corpus", "--count", "2", "--seed", "7", "--out", str(corpus_dir)])
+    write_launcherless(corpus_dir / "org.nolaunch.app.json")
+    capsys.readouterr()
+    assert run(["bench", "--corpus", str(corpus_dir), "--repeat", "1"]) == 2
+    assert_one_error_line(capsys, "no launcher activity declared")
+
+
+def test_bench_hook_dispatch_times_the_hooked_kinds(tmp_path, monkeypatch):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    template = tmp_path / "template.json"
+    write_manifest_file(template, replace(defaults.default_template(),
+                                          package="com.otherhost.addon"))
+    seen = []
+    real = container.plugin_syscall
+
+    def recording(os, c, caller, call):
+        seen.append((c.addon_package, call.kind, call.cmd, call.package))
+        return real(os, c, caller, call)
+
+    monkeypatch.setattr(container, "plugin_syscall", recording)
+    assert run(["bench", "--corpus", str(corpus_dir), "--template", str(template),
+                "--out", str(tmp_path / "bench.json")]) == 0
+    assert {host for host, *_ in seen} == {"com.otherhost.addon"}
+    timed = [call for call in seen if call[1] not in ("start_activity", "start_service")]
+    # One warm-up pass, then one pass without and one with the hooks.
+    assert len(timed) == 3 * HOOK_DISPATCH_CALLS
+    assert set(timed) == {
+        ("com.otherhost.addon", "get_running_app_processes", None, None),
+        ("com.otherhost.addon", "exec_shell", "ps", None),
+        ("com.otherhost.addon", "get_application_info", None, defaults.VICTIM_PACKAGE),
+        ("com.otherhost.addon", "read_proc_maps", None, None),
+    }
 
 
 def test_bench_repeat_count_only_affects_durations(tmp_path):

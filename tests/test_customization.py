@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from appvirtsim import permissions as perms
 from appvirtsim.customization import (
     CustomizationInvariantError,
+    check_catalog,
     customize,
     step1_permissions,
     step2_trim_malicious,
@@ -20,6 +21,7 @@ from appvirtsim.manifest import (
     AppManifest,
     Component,
     NoLauncherError,
+    SchemaError,
     extract_components,
 )
 
@@ -48,10 +50,40 @@ def test_step1_extras_are_set_union(template):
     assert sorted(addon.permissions) == sorted(EXTRAS)
 
 
+def test_check_catalog_accepts_the_builtin():
+    catalog = default_catalog()
+    assert check_catalog(catalog) is catalog
+
+
+def _catalog_service(**fields):
+    base = {"name": "PluginSvc", "kind": SERVICE, "payload": "contacts",
+            "requires_permissions": {perms.READ_CONTACTS, perms.INTERNET}}
+    return Component(**{**base, **fields})
+
+
+@pytest.mark.parametrize("catalog, message", [
+    (AppManifest(package="c.d", services=(_catalog_service(),),
+                 activities=(Component(name=".Main", kind=ACTIVITY),)),
+     "c.d: payload catalogs declare services only"),
+    (AppManifest(package="c.d"), "c.d: payload catalog has no services"),
+    (AppManifest(package="c.d", services=(
+        _catalog_service(requires_permissions={perms.READ_CONTACTS}),)),
+     "PluginSvc: catalog services must require INTERNET"),
+    (AppManifest(package="c.d", services=(_catalog_service(payload=None),)),
+     "PluginSvc: catalog service lacks a payload tag"),
+    (AppManifest(package="c.d", services=(_catalog_service(payload="bogus"),)),
+     "PluginSvc: unknown payload tag 'bogus'"),
+], ids=["services_only", "has_services", "internet", "payload_tag", "known_tag"])
+def test_check_catalog_rules(catalog, message):
+    with pytest.raises(SchemaError) as info:
+        check_catalog(catalog)
+    assert str(info.value) == message
+
+
 def _trim_oracle(victim, catalog):
     # Independent re-statement of the filter: keep entries whose required
     # permissions the victim declares, in catalog order.
-    return [e.name for e in catalog.entries
+    return [e.name for e in catalog.services
             if set(e.requires_permissions) <= set(victim.permissions)]
 
 

@@ -15,13 +15,13 @@ from appvirtsim.manifest import (
     MultipleLauncherError,
     NoLauncherError,
     SchemaError,
-    ServiceCatalog,
     extract_components,
     extract_launcher_resources,
     parse_manifest,
     serialize_manifest,
 )
 from appvirtsim import permissions as perms
+from appvirtsim.customization import check_catalog
 
 SAMPLE_PATH = Path(__file__).parent / "data" / "sample_victim.json"
 
@@ -144,14 +144,14 @@ def test_extract_launcher_resources(victim, template):
 
 
 def test_catalog_validation(catalog):
-    assert len(catalog.entries) == 8
+    assert len(catalog.services) == 8
     bad = AppManifest(
         package="c.d",
         services=(Component(name="Svc", kind=SERVICE, payload="contacts",
                             requires_permissions={perms.READ_CONTACTS}),),
     )
     with pytest.raises(SchemaError, match="INTERNET"):
-        ServiceCatalog.from_manifest(bad)
+        check_catalog(bad)
 
 
 # ---------------------------------------------------------------------------
