@@ -73,21 +73,22 @@ class RuntimeModel:
             self.methods[name] = record
         return record
 
-    def record_invocation(self, method_name: str, loop_iterations: int = 0) -> None:
-        """Count one invocation plus its loop iterations; AoT methods stay at 0."""
-        if loop_iterations < 0:
-            raise ValueError("loop_iterations must be >= 0")
+    def record_invocation(self, method_name: str, loop_iterations: int = 0,
+                          times: int = 1) -> None:
+        """Count ``times`` invocations of ``loop_iterations`` loop iterations
+        each in one record update; AoT methods stay at 0."""
+        if loop_iterations < 0 or times < 1:
+            raise ValueError("loop_iterations must be >= 0 and times >= 1")
         record = self.method(method_name)
-        ticks = 1 + loop_iterations if record.compile_mode == HYBRID else 0
-        self.methods[method_name] = ArtMethodRecord(
-            method_name, record.compile_mode, record.hotness_count + ticks, record.invocations + 1
-        )
+        ticks = (1 + loop_iterations) * times if record.compile_mode == HYBRID else 0
+        self.methods[method_name] = ArtMethodRecord(method_name, record.compile_mode,
+                                                    record.hotness_count + ticks,
+                                                    record.invocations + times)
 
 
 def warm_up(rt: RuntimeModel) -> None:
     """Drive the sentinel past the warmup threshold, as app startup would."""
-    for _ in range(WARMUP_INVOCATIONS):
-        rt.record_invocation(SENTINEL, WARMUP_LOOP_ITERATIONS)
+    rt.record_invocation(SENTINEL, WARMUP_LOOP_ITERATIONS, times=WARMUP_INVOCATIONS)
 
 
 def hotness_check(rt: RuntimeModel) -> ProbeOutcome:

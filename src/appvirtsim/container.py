@@ -21,7 +21,7 @@ background services advance only when tick_services is called.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .manifest import (
@@ -34,6 +34,7 @@ from .manifest import (
 )
 from .permissions import PAYLOAD_STORES
 from .simos import (
+    API_KINDS,
     LAUNCH_KINDS,
     AccessDeniedError,
     ApiCall,
@@ -86,7 +87,7 @@ class PluginGoneError(ApiError):
 
 @dataclass(frozen=True)
 class HookSpec:
-    """One interception rule.
+    """One interception rule on the calls of one API kind (``target``).
 
     ``fn``'s signature depends on ``mode``: a before hook maps a call to a
     call, an after hook maps (call, reply) to a reply, and a replace hook
@@ -104,6 +105,8 @@ class HookSpec:
     def __post_init__(self) -> None:
         if self.layer not in LAYERS:
             raise ValueError(f"unknown hook layer: {self.layer!r}")
+        if self.target not in API_KINDS:
+            raise ValueError(f"unknown hook target: {self.target!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown hook mode: {self.mode!r}")
 
@@ -262,8 +265,8 @@ def _rewrite_request(c: ContainerState, plugin_package: str, call: ApiCall) -> A
     component_kind = LAUNCH_KINDS.get(call.kind)
     if component_kind is None:
         return call
-    return replace(
-        call, name=_map_component_out(c, plugin_package, component_kind, call.name or "")
+    return call._replace(
+        name=_map_component_out(c, plugin_package, component_kind, call.name or "")
     )
 
 
@@ -334,7 +337,7 @@ def install_cloaking_hookset(c: ContainerState, victim_package: str) -> None:
         return [dict(entry, name=victim_package) for entry in reply]
 
     def ps_to_ls(call: ApiCall) -> ApiCall:
-        return replace(call, cmd="ls") if call.cmd == "ps" else call
+        return call._replace(cmd="ls") if call.cmd == "ps" else call
 
     def native_data_dir(call: ApiCall, reply):
         return dict(reply, data_dir=f"/data/data/{reply['package']}")
@@ -362,13 +365,20 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
     victim but targets the add-on, fetches the payload manifest by parsing
     the downloaded ``payload_document`` text, loads it as a background plugin
     with every service started, then loads the victim as the foreground
-    plugin. The fetch completes before any plugin load, so a fetch failure
-    (CatalogFetchError, for an empty or malformed document) never leaves a
-    half-populated environment.
+    plugin. The document is parsed, and neither package may be loaded yet,
+    before the first system call: a CatalogFetchError (empty or malformed
+    document) or an AlreadyLoadedError leaves the environment as it was.
     """
     victim_record = os.registry.get(victim_package)
     if victim_record is None:
         raise UnknownPackageError(f"victim {victim_package} is not installed")
+    try:
+        malicious = parse_manifest(payload_document)
+    except ManifestError as exc:
+        raise CatalogFetchError(f"cannot fetch the payload manifest: {exc}") from exc
+    for package in (malicious.package, victim_package):
+        if package in c.plugin_manifests:
+            raise AlreadyLoadedError(f"{package} is already loaded")
     log = c.run_log
 
     killed = os.syscall(
@@ -390,10 +400,6 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
     log.append({"step": "create_shortcut", "label": label, "icon": icon,
                 "target": c.addon_package})
 
-    try:
-        malicious = parse_manifest(payload_document)
-    except ManifestError as exc:
-        raise CatalogFetchError(f"cannot fetch the payload manifest: {exc}") from exc
     log.append({"step": "fetch_payload", "document": f"{malicious.package}.json",
                 "package": malicious.package})
 

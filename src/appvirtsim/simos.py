@@ -14,6 +14,7 @@ or frozenset), and a change stores a new one, so a fork copies only tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .manifest import ACTIVITY, PROVIDER, SERVICE, AppManifest
 from .permissions import (
@@ -94,32 +95,42 @@ class UnknownStoreError(ApiError):
     reason = "unknown_store"
 
 
-@dataclass(frozen=True)
-class ApiCall:
+class _ApiCallFields(NamedTuple):
+    kind: str
+    package: str | None
+    permission: str | None
+    store: str | None
+    cmd: str | None
+    name: str | None
+    component_kind: str | None
+    action: str | None
+    actions: tuple[str, ...]
+    label: str | None
+    icon: str | None
+    target_package: str | None
+    token: str | None
+
+
+class ApiCall(_ApiCallFields):
     """One request to the OS. Unused argument fields stay None.
 
-    Frozen so hooks rewrite copies (dataclasses.replace) instead of
-    mutating a call another hook already saw.
-    """
+    Immutable: hooks rewrite copies with ``call._replace``, which checks the
+    kind and converts ``actions`` as the constructor does. A call equals the
+    plain tuple of its fields."""
 
-    kind: str
-    package: str | None = None
-    permission: str | None = None
-    store: str | None = None
-    cmd: str | None = None
-    name: str | None = None
-    component_kind: str | None = None
-    action: str | None = None
-    actions: tuple[str, ...] = ()
-    label: str | None = None
-    icon: str | None = None
-    target_package: str | None = None
-    token: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "actions", tuple(self.actions))
-        if self.kind not in API_KINDS:
-            raise ValueError(f"unknown api call kind: {self.kind!r}")
+    def __new__(cls, kind, package=None, permission=None, store=None, cmd=None, name=None,
+                component_kind=None, action=None, actions=(), label=None, icon=None,
+                target_package=None, token=None) -> ApiCall:
+        if kind not in API_KINDS:
+            raise ValueError(f"unknown api call kind: {kind!r}")
+        return tuple.__new__(cls, (kind, package, permission, store, cmd, name, component_kind,
+                                   action, tuple(actions), label, icon, target_package, token))
+
+    @classmethod
+    def _make(cls, iterable) -> ApiCall:
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -260,9 +271,7 @@ class SimOs:
 
     def syscall(self, caller: int, call: ApiCall):
         """Native-faithful reply for one call; the single entry point proxies wrap."""
-        proc = self.process(caller)
-        handler = getattr(self, f"_op_{call.kind}")
-        return handler(proc, call)
+        return _OPS[call.kind](self, self.process(caller), call)
 
     def _op_get_installed_packages(self, proc, call):
         return sorted(self.registry)
@@ -423,9 +432,8 @@ class SimOs:
         return [list(entry) for entry in self.native_blobs.get((proc.uid, call.name or ""), ())]
 
 
-# The system-call surface, one kind per _op_ handler. Lifecycle starts and the
-# shared native-component blob are part of it: component launches are what the
-# dispatch layer rewrites, and the blob is how same-UID apps end up sharing state.
-API_KINDS = frozenset(
-    name[len("_op_"):] for name in vars(SimOs) if name.startswith("_op_")
-)
+# The system-call surface: each kind and the _op_ handler SimOs.syscall runs for it.
+# Lifecycle starts and the shared native-component blob are part of it: launches
+# are what the dispatch layer rewrites; the blob is how same-UID apps share state.
+_OPS = {name[len("_op_"):]: fn for name, fn in vars(SimOs).items() if name.startswith("_op_")}
+API_KINDS = frozenset(_OPS)

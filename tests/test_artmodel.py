@@ -96,3 +96,23 @@ def test_negative_loop_count_rejected():
     rt = RuntimeModel(NATIVE)
     with pytest.raises(ValueError):
         rt.record_invocation("m", loop_iterations=-1)
+
+
+@given(st.sampled_from([NATIVE, VIRTUAL]), st.integers(min_value=0, max_value=20),
+       st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=3))
+def test_batched_invocations_equal_single_ones(kind, loop_iterations, times, earlier):
+    batched, single = RuntimeModel(kind), RuntimeModel(kind)
+    for rt in (batched, single):
+        for _ in range(earlier):
+            rt.record_invocation("m", 1)
+    batched.record_invocation("m", loop_iterations, times=times)
+    for _ in range(times):
+        single.record_invocation("m", loop_iterations)
+    assert batched.methods == single.methods
+
+
+def test_zero_times_rejected():
+    rt = RuntimeModel(NATIVE)
+    with pytest.raises(ValueError):
+        rt.record_invocation("m", times=0)
+    assert rt.methods == {}

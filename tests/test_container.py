@@ -212,6 +212,11 @@ def test_hook_composition_order(hosted, victim):
     assert trace == ["ll-b1", "ll-b2", "px-b1", "px-a1", "ll-a2", "ll-a1"]
 
 
+def test_hook_on_unknown_target_rejected():
+    with pytest.raises(ValueError, match="unknown hook target: 'read_proc_map'"):
+        HookSpec(LOWLEVEL, "read_proc_map", REPLACE, lambda call: [])
+
+
 def test_duplicate_hooks_compose(hosted, victim):
     os, c = hosted
     pid = load_plugin(os, c, victim, plugin_path(c, victim.package))
@@ -334,6 +339,7 @@ def test_first_run_fetch_atomicity(victim, template, catalog):
     with pytest.raises(CatalogFetchError):
         first_run(os, c, victim.package, "")
     assert c.plugin_processes == {}
+    assert os.shortcuts == [] and c.run_log == []
 
 
 def test_first_run_rejects_malformed_catalog_document(victim, template, catalog):
@@ -341,6 +347,7 @@ def test_first_run_rejects_malformed_catalog_document(victim, template, catalog)
     with pytest.raises(CatalogFetchError):
         first_run(os, c, victim.package, '{"package": "x.y", "oops": 1}')
     assert c.plugin_processes == {}
+    assert os.shortcuts == [] and c.run_log == []
 
 
 def test_first_run_duplicate_shortcut_warns(victim, template, catalog):

@@ -4,8 +4,14 @@ from dataclasses import fields, is_dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from appvirtsim.container import CLOAK_HOOK_LABELS, HookSpec, tick_services
-from appvirtsim.manifest import COMPONENT_KINDS
+from appvirtsim.container import (
+    CLOAK_HOOK_LABELS,
+    AlreadyLoadedError,
+    HookSpec,
+    first_run,
+    tick_services,
+)
+from appvirtsim.manifest import COMPONENT_KINDS, serialize_manifest
 from appvirtsim.outcomes import Verdict
 from appvirtsim.permissions import ALL_PERMISSIONS, STORE_NAMES
 from appvirtsim.probes import (
@@ -150,6 +156,17 @@ def test_matrix_leaves_each_world_unprobed(scenario):
         != world_state(WORLD_BUILDERS[report.environment](scenario))
     ]
     assert changed == []
+
+
+def test_second_first_run_changes_nothing(worlds_by_env):
+    # A repeated first run is refused before its first system call: no
+    # second shortcut, no killed process, no run-log entry.
+    parent = worlds_by_env[CLOAKED_ENV]
+    fork = parent.fork()
+    payload = serialize_manifest(fork.customization.malicious)
+    with pytest.raises(AlreadyLoadedError):
+        first_run(fork.os, fork.container, fork.probe_manifest.package, payload)
+    assert world_state(fork) == world_state(parent)
 
 
 TICK = "tick"

@@ -247,3 +247,39 @@ def test_exfil_sink_only_grows(os_world):
     before = len(os_world.exfil_sink)
     os_world.exfil_sink.append(("contacts", "r1"))
     assert len(os_world.exfil_sink) == before + 1
+
+
+def test_api_call_rejects_unknown_kind_on_construction_and_replace():
+    with pytest.raises(ValueError, match="unknown api call kind: 'bogus'"):
+        ApiCall("bogus")
+    with pytest.raises(ValueError, match="unknown api call kind: 'bogus'"):
+        ApiCall("exec_shell", cmd="ps")._replace(kind="bogus")
+
+
+def test_api_call_stores_actions_as_a_tuple():
+    call = ApiCall("register_receiver", name=".R", actions=["A", "B"])
+    assert call.actions == ("A", "B") and type(call.actions) is tuple
+    assert type(call._replace(actions=["C"]).actions) is tuple
+
+
+def test_api_call_is_immutable():
+    call = ApiCall("exec_shell", cmd="ps")
+    with pytest.raises(AttributeError):
+        call.cmd = "ls"
+    with pytest.raises(AttributeError):
+        call.extra = 1
+
+
+def test_api_call_replace_returns_an_api_call():
+    call = ApiCall("exec_shell", cmd="ps")
+    rewritten = call._replace(cmd="ls")
+    assert type(rewritten) is ApiCall
+    assert rewritten.cmd == "ls" and call.cmd == "ps"
+
+
+def test_equal_api_calls_hash_equal():
+    first = ApiCall("start_activity", name=".Main", actions=["A"])
+    second = ApiCall(kind="start_activity", name=".Main", actions=("A",))
+    assert first == second and hash(first) == hash(second)
+    assert first != first._replace(name=".Other")
+    assert first == tuple(first)
