@@ -44,14 +44,8 @@ HOOK_DISPATCH_CALLS = 500
 def scenario_digest(sc: worlds.MatrixScenario) -> str:
     """Content digest of the inputs, so reports self-identify their scenario."""
     hasher = hashlib.sha256()
-    hasher.update(serialize_manifest(sc.victim).encode())
-    hasher.update(serialize_manifest(sc.template).encode())
-    catalog_doc = json.dumps({
-        "package": sc.catalog.package,
-        "entries": [[e.name, sorted(e.requires_permissions), e.payload]
-                    for e in sc.catalog.services],
-    }, sort_keys=True)
-    hasher.update(catalog_doc.encode())
+    for m in (sc.victim, sc.template, sc.catalog, sc.companion):
+        hasher.update(serialize_manifest(m).encode())
     hasher.update(json.dumps([sc.seed, sorted(sc.store_counts.items())]).encode())
     return hasher.hexdigest()[:16]
 
@@ -154,7 +148,8 @@ def compare_to_golden(reports: list[probes.DetectionReport],
         if env not in expected_envs:
             diffs.append(f"({env}, *): environment missing from golden")
             continue
-        for probe_id in probes.PROBE_IDS:
+        extra = sorted(set(expected_envs[env]) - set(probes.PROBE_IDS))
+        for probe_id in (*probes.PROBE_IDS, *extra):
             want = expected_envs[env].get(probe_id)
             got = actual[env].get(probe_id)
             if want != got:
@@ -232,28 +227,26 @@ def _bench_customization(manifests, template, catalog, repeat: int) -> list[dict
 
 
 def _bench_hook_dispatch(sc: worlds.MatrixScenario) -> dict:
-    """Mean plugin-call latency with zero hooks versus the full bypass hookset,
-    over the four call kinds the hooks target."""
-    world = worlds.build_cloaked_world(sc)
-    c = world.container
+    """Mean plugin-call latency in a cloaked world built without the bypass
+    hookset versus one built with it, over the four call kinds the hooks target."""
     calls = (ApiCall("get_running_app_processes"), ApiCall("exec_shell", cmd="ps"),
              ApiCall("get_application_info", package=sc.victim.package),
              ApiCall("read_proc_maps"))
 
-    def measure() -> float:
+    def measure(world: worlds.World) -> float:
         start = time.perf_counter()
         for i in range(HOOK_DISPATCH_CALLS):
             try:
-                container.plugin_syscall(world.os, c, world.probe_pid, calls[i % len(calls)])
+                container.plugin_syscall(world.os, world.container, world.probe_pid,
+                                         calls[i % len(calls)])
             except ApiError:  # the hooked read_proc_maps is denied
                 pass
         return (time.perf_counter() - start) / HOOK_DISPATCH_CALLS * 1e6
 
-    container.uninstall_hooks(c, container.CLOAK_HOOK_LABELS)
-    measure()  # warm-up
-    baseline_us = measure()
-    container.install_cloaking_hookset(c, sc.victim.package)
-    hooked_us = measure()
+    bare = worlds.build_cloaked_world(sc, drop_hook_labels=container.CLOAK_HOOK_LABELS)
+    measure(bare)  # warm-up
+    baseline_us = measure(bare)
+    hooked_us = measure(worlds.build_cloaked_world(sc))
     return {"calls": HOOK_DISPATCH_CALLS, "baseline_us": baseline_us,
             "hooked_us": hooked_us, "note": "dispatch micro-overhead with 0 vs 4 installed hooks"}
 

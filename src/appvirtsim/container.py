@@ -180,28 +180,33 @@ def create_container(os: SimOs, addon: AppManifest) -> ContainerState:
     )
 
 
-def load_plugin(os: SimOs, c: ContainerState, plugin: AppManifest,
-                plugin_apk_path: str) -> int:
+def load_plugin(os: SimOs, c: ContainerState, plugin: AppManifest) -> int:
     """Fork a shared-UID process for a plugin and wire it into the environment.
 
-    The plugin is not installed: its receivers are registered dynamically,
-    its private directory lives under the add-on, and its launcher activity
+    The container decides the plugin's file layout. Its private directory is
+    ``<plugin_data_root>/<package>`` under the add-on. Its code is the native
+    APK when the package happens to be installed on the device, and
+    ``<plugin_data_root>/<package>/base.apk`` otherwise; application-info
+    queries for the plugin report both. The plugin itself is not installed:
+    its receivers are registered dynamically, and its launcher activity
     (when present) is opened through the dispatch pipeline, taking
     foreground from any previously loaded plugin.
     """
     if plugin.package in c.plugin_manifests:
         raise AlreadyLoadedError(f"{plugin.package} is already loaded")
+    data_dir = f"{c.plugin_data_root}/{plugin.package}"
+    record = os.registry.get(plugin.package)
+    apk_path = record.apk_path if record is not None else f"{data_dir}/base.apk"
     addon_record = os.registry[c.addon_package]
     pid = os.spawn_process(
         c.addon_package,
         name=f"{c.addon_package}:p{len(c.plugin_manifests) + 1}",
-        maps=[addon_record.apk_path, plugin_apk_path],
+        maps=[addon_record.apk_path, apk_path],
     )
-    data_dir = f"{c.plugin_data_root}/{plugin.package}"
     os.mkdir(data_dir)
     c.plugin_manifests[plugin.package] = plugin
     c.plugin_processes[plugin.package] = pid
-    c.plugin_apk_paths[plugin.package] = plugin_apk_path
+    c.plugin_apk_paths[plugin.package] = apk_path
     c.plugin_data_dirs[plugin.package] = data_dir
     for receiver in plugin.receivers:
         os.syscall(pid, ApiCall("register_receiver", name=receiver.name,
@@ -273,22 +278,11 @@ def _rewrite_request(c: ContainerState, plugin_package: str, call: ApiCall) -> A
 def _rewrite_reply(c: ContainerState, call: ApiCall, reply):
     if call.kind in LAUNCH_KINDS:
         return _map_name_back(c, reply)
+    if call.kind == "get_running_services":
+        return [_map_name_back(c, name) for name in reply]
     if call.kind in ("get_running_tasks", "get_recent_tasks"):
         return [[kind, _map_name_back(c, name)] for kind, name in reply]
     return reply
-
-
-def _synthesize_application_info(os: SimOs, c: ContainerState, package: str) -> dict:
-    # The view the environment gives a loaded plugin: its files really live
-    # under the add-on, while the code source stays the native APK when the
-    # package happens to be installed on the device.
-    record = os.registry.get(package)
-    source_dir = record.apk_path if record is not None else c.plugin_apk_paths[package]
-    return {
-        "package": package,
-        "source_dir": source_dir,
-        "data_dir": c.plugin_data_dirs[package],
-    }
 
 
 def plugin_syscall(os: SimOs, c: ContainerState, caller: int, call: ApiCall):
@@ -308,7 +302,9 @@ def plugin_syscall(os: SimOs, c: ContainerState, caller: int, call: ApiCall):
     if replacement is not None:
         reply = replacement.fn(call)
     elif call.kind == "get_application_info" and call.package in c.plugin_manifests:
-        reply = _synthesize_application_info(os, c, call.package)
+        package = call.package
+        reply = {"package": package, "source_dir": c.plugin_apk_paths[package],
+                 "data_dir": c.plugin_data_dirs[package]}
     else:
         wire_call = _rewrite_request(c, plugin_package, call)
         reply = os.syscall(caller, wire_call)
@@ -365,9 +361,11 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
     victim but targets the add-on, fetches the payload manifest by parsing
     the downloaded ``payload_document`` text, loads it as a background plugin
     with every service started, then loads the victim as the foreground
-    plugin. The document is parsed, and neither package may be loaded yet,
-    before the first system call: a CatalogFetchError (empty or malformed
-    document) or an AlreadyLoadedError leaves the environment as it was.
+    plugin. ``load_plugin`` places each: the payload's code under the plugin
+    root, the victim's at its installed APK. The document is parsed, and
+    neither package may be loaded yet, before the first system call: a
+    CatalogFetchError (empty or malformed document) or an AlreadyLoadedError
+    leaves the environment as it was.
     """
     victim_record = os.registry.get(victim_package)
     if victim_record is None:
@@ -403,8 +401,7 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
     log.append({"step": "fetch_payload", "document": f"{malicious.package}.json",
                 "package": malicious.package})
 
-    payload_apk = f"{c.plugin_data_root}/{malicious.package}/base.apk"
-    payload_pid = load_plugin(os, c, malicious, payload_apk)
+    payload_pid = load_plugin(os, c, malicious)
     started = []
     for service in malicious.services:
         try:
@@ -416,7 +413,7 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
     log.append({"step": "start_payload_services", "package": malicious.package,
                 "pid": payload_pid, "services": started})
 
-    victim_pid = load_plugin(os, c, victim_record.manifest, victim_record.apk_path)
+    victim_pid = load_plugin(os, c, victim_record.manifest)
     log.append({"step": "load_victim", "package": victim_package, "pid": victim_pid,
                 "foreground": c.foreground_plugin == victim_package})
     return log
@@ -425,10 +422,11 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
 def tick_services(os: SimOs, c: ContainerState) -> None:
     """One synchronous sweep of every running payload service.
 
-    Each service reads its payload store under the shared UID and appends
-    (payload tag, record) pairs to the exfiltration sink. A denied read is
-    logged, never raised: the corresponding permission simply is not there.
-    A plugin whose process was killed is skipped with a logged warning.
+    Each service (found by its own name when it runs under a stub) reads its
+    payload store under the shared UID and appends (payload tag, record)
+    pairs to the exfiltration sink. A denied read is logged, never raised:
+    the corresponding permission simply is not there. A plugin whose process
+    was killed is skipped with a logged warning.
     """
     for package, pid in c.plugin_processes.items():
         manifest = c.plugin_manifests[package]
@@ -439,8 +437,8 @@ def tick_services(os: SimOs, c: ContainerState) -> None:
                 "detail": f"{package}: process {pid} is gone; not ticked",
             })
             continue
-        for service_name in proc.running_services:
-            service = manifest.component(SERVICE, service_name)
+        for wire_name in proc.running_services:
+            service = manifest.component(SERVICE, _map_name_back(c, wire_name))
             if service is None or service.payload is None:
                 continue
             store = PAYLOAD_STORES[service.payload]
@@ -449,7 +447,7 @@ def tick_services(os: SimOs, c: ContainerState) -> None:
             except ApiError as exc:
                 c.run_log.append({
                     "step": "warning",
-                    "detail": f"{service_name}: {store} read denied ({exc})",
+                    "detail": f"{service.name}: {store} read denied ({exc})",
                 })
                 continue
             for record in records:

@@ -150,13 +150,8 @@ def build_naive_world(sc: MatrixScenario) -> World:
     seed_stores(os, sc.store_counts, sc.seed)
     os.install(sc.template)
     c = container.create_container(os, sc.template)
-    plugin_root = c.plugin_data_root
-    container.load_plugin(
-        os, c, sc.companion, f"{plugin_root}/{sc.companion.package}/base.apk"
-    )
-    pid = container.load_plugin(
-        os, c, sc.victim, f"{plugin_root}/{sc.victim.package}/base.apk"
-    )
+    container.load_plugin(os, c, sc.companion)
+    pid = container.load_plugin(os, c, sc.victim)
     runtime = artmodel.RuntimeModel(artmodel.VIRTUAL)
     artmodel.warm_up(runtime)
     return World(NAIVE_ENV, os, pid, sc.victim, runtime, container=c)

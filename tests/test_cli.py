@@ -5,7 +5,12 @@ from pathlib import Path
 import pytest
 
 from appvirtsim import container, customization, defaults
-from appvirtsim.cli import HOOK_DISPATCH_CALLS, compare_to_golden, main
+from appvirtsim.cli import (
+    HOOK_DISPATCH_CALLS,
+    compare_to_golden,
+    main,
+    scenario_digest,
+)
 from appvirtsim.manifest import (
     ACTIVITY,
     AppManifest,
@@ -168,6 +173,19 @@ def test_run_matrix_tampered_golden(tmp_path, capsys):
     assert "(native, 4): expected virtual_detected, got clean" in err
 
 
+def test_run_matrix_golden_cell_the_run_never_produced(tmp_path, capsys):
+    golden = json.loads(Path(GOLDEN).read_text())
+    golden["environments"]["native"]["19"] = "clean"
+    extended = tmp_path / "extended.json"
+    extended.write_text(json.dumps(golden), encoding="utf-8")
+    code = run(["run-matrix", "--out", str(tmp_path / "r.json"),
+                "--expect", str(extended)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "golden mismatch: 1 differing cell(s)" in err
+    assert "(native, 19): expected clean, got None" in err
+
+
 @pytest.mark.parametrize("golden", ['[1, 2]', '{"environments": {"native": ["x"]}}'])
 def test_run_matrix_misshapen_golden_rejected(tmp_path, capsys, golden):
     path = tmp_path / "golden.json"
@@ -186,6 +204,18 @@ def test_run_matrix_unwritable_out(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("change", [
+    {"catalog": {"label": "Other"}},
+    {"catalog": {"version": 9}},
+    {"catalog": {"launcher_icon": "other.png"}},
+    {"companion": {"label": "Other"}},
+])
+def test_scenario_digest_covers_the_whole_catalog_and_companion(scenario, change):
+    [(role, fields)] = change.items()
+    changed = replace(scenario, **{role: replace(getattr(scenario, role), **fields)})
+    assert scenario_digest(changed) != scenario_digest(scenario)
 
 
 def test_compare_to_golden_reports_missing_environments():

@@ -55,10 +55,6 @@ def hosted(template):
     return os, c
 
 
-def plugin_path(c, package):
-    return f"{c.plugin_data_root}/{package}/base.apk"
-
-
 def test_create_requires_installed_addon(template):
     os = SimOs()
     with pytest.raises(UnknownPackageError):
@@ -87,7 +83,7 @@ def test_create_over_customized_addon(victim, template, catalog):
 
 def test_load_plugin_shares_uid_not_pid(hosted, victim, template):
     os, c = hosted
-    pid = load_plugin(os, c, victim, plugin_path(c, victim.package))
+    pid = load_plugin(os, c, victim)
     addon_uid = os.registry[template.package].uid
     assert os.processes[pid].uid == addon_uid
     assert pid != c.container_pid
@@ -95,12 +91,15 @@ def test_load_plugin_shares_uid_not_pid(hosted, victim, template):
     assert c.plugin_data_dirs[victim.package] == (
         f"/data/data/{template.package}/Plugin/{victim.package}"
     )
+    assert c.plugin_apk_paths[victim.package] == (
+        f"/data/data/{template.package}/Plugin/{victim.package}/base.apk"
+    )
 
 
 def test_load_two_plugins_one_foreground(hosted, victim, companion):
     os, c = hosted
-    first = load_plugin(os, c, companion, plugin_path(c, companion.package))
-    second = load_plugin(os, c, victim, plugin_path(c, victim.package))
+    first = load_plugin(os, c, companion)
+    second = load_plugin(os, c, victim)
     assert first != second
     assert os.processes[first].uid == os.processes[second].uid
     assert c.foreground_plugin == victim.package  # most recent launcher wins
@@ -108,21 +107,21 @@ def test_load_two_plugins_one_foreground(hosted, victim, companion):
 
 def test_load_same_plugin_twice(hosted, victim):
     os, c = hosted
-    load_plugin(os, c, victim, plugin_path(c, victim.package))
+    load_plugin(os, c, victim)
     with pytest.raises(AlreadyLoadedError):
-        load_plugin(os, c, victim, plugin_path(c, victim.package))
+        load_plugin(os, c, victim)
 
 
 def test_plugin_receivers_registered_dynamically(hosted, victim, template):
     os, c = hosted
-    load_plugin(os, c, victim, plugin_path(c, victim.package))
+    load_plugin(os, c, victim)
     uid = os.registry[template.package].uid
     assert (uid, ".MsgReceiver") in os.dynamic_receivers
 
 
 def test_name_rewriting_round_trip(hosted, victim):
     os, c = hosted
-    pid = load_plugin(os, c, victim, plugin_path(c, victim.package))
+    pid = load_plugin(os, c, victim)
     # The launcher was opened at load time through a stub; the plugin
     # still observes its own component name in tasks and new launches.
     tasks = plugin_syscall(os, c, pid, ApiCall("get_running_tasks"))
@@ -143,7 +142,7 @@ def test_provider_rewriting_round_trip(hosted):
         activities=(Component(name=".Main", kind=ACTIVITY, launcher=True),),
         providers=(Component(name=".DataProvider", kind="provider"),),
     )
-    pid = load_plugin(os, c, plugin, plugin_path(c, plugin.package))
+    pid = load_plugin(os, c, plugin)
     observed = plugin_syscall(os, c, pid, ApiCall("acquire_provider",
                                                   name=".DataProvider"))
     assert observed == ".DataProvider"
@@ -154,7 +153,7 @@ def test_provider_rewriting_round_trip(hosted):
 
 def test_stub_exhaustion(hosted, victim):
     os, c = hosted
-    pid = load_plugin(os, c, victim, plugin_path(c, victim.package))
+    pid = load_plugin(os, c, victim)
     plugin_syscall(os, c, pid, ApiCall("start_service", name=".SyncService"))
     with pytest.raises(ApiError, match="no free service stub"):
         plugin_syscall(os, c, pid, ApiCall("start_service", name=".PushService"))
@@ -164,7 +163,7 @@ def test_relaunch_reuses_assigned_stub(hosted, victim):
     # The template has one service stub, so a second stub assignment for
     # the same service would fail; the relaunch must reuse the first.
     os, c = hosted
-    pid = load_plugin(os, c, victim, plugin_path(c, victim.package))
+    pid = load_plugin(os, c, victim)
     first = plugin_syscall(os, c, pid, ApiCall("start_service", name=".SyncService"))
     assigned = dict(c.stub_assignments)
     second = plugin_syscall(os, c, pid, ApiCall("start_service", name=".SyncService"))
@@ -179,7 +178,7 @@ def test_set_component_enabled_not_rewritten(hosted, victim):
     # The dispatch layer does not cloak component toggles; a naive
     # container exposes the unregistered name.
     os, c = hosted
-    pid = load_plugin(os, c, victim, plugin_path(c, victim.package))
+    pid = load_plugin(os, c, victim)
     with pytest.raises(ApiError, match="not a registered"):
         plugin_syscall(os, c, pid, ApiCall(
             "set_component_enabled", component_kind=ACTIVITY, name=".MainActivity"))
@@ -187,7 +186,7 @@ def test_set_component_enabled_not_rewritten(hosted, victim):
 
 def test_hook_composition_order(hosted, victim):
     os, c = hosted
-    pid = load_plugin(os, c, victim, plugin_path(c, victim.package))
+    pid = load_plugin(os, c, victim)
     trace = []
 
     def tag_before(label):
@@ -219,7 +218,7 @@ def test_hook_on_unknown_target_rejected():
 
 def test_duplicate_hooks_compose(hosted, victim):
     os, c = hosted
-    pid = load_plugin(os, c, victim, plugin_path(c, victim.package))
+    pid = load_plugin(os, c, victim)
     counter = {"n": 0}
 
     def bump(call, reply):
@@ -235,7 +234,7 @@ def test_duplicate_hooks_compose(hosted, victim):
 
 def test_replace_mode_hook_short_circuits(hosted, victim):
     os, c = hosted
-    pid = load_plugin(os, c, victim, plugin_path(c, victim.package))
+    pid = load_plugin(os, c, victim)
 
     def canned(call):
         return ["only.this"]
@@ -247,7 +246,7 @@ def test_replace_mode_hook_short_circuits(hosted, victim):
 
 def test_zero_hooks_is_baseline(hosted, victim, template):
     os, c = hosted
-    pid = load_plugin(os, c, victim, plugin_path(c, victim.package))
+    pid = load_plugin(os, c, victim)
     assert plugin_syscall(os, c, pid, ApiCall("get_installed_packages")) == [
         template.package
     ]
@@ -255,7 +254,7 @@ def test_zero_hooks_is_baseline(hosted, victim, template):
 
 def test_cloaking_hookset_effects(hosted, victim, template):
     os, c = hosted
-    pid = load_plugin(os, c, victim, plugin_path(c, victim.package))
+    pid = load_plugin(os, c, victim)
     install_cloaking_hookset(c, victim.package)
 
     with pytest.raises(AccessDeniedError):
@@ -275,7 +274,7 @@ def test_cloaking_hookset_effects(hosted, victim, template):
 
 def test_uninstall_hooks_by_label(hosted, victim):
     os, c = hosted
-    load_plugin(os, c, victim, plugin_path(c, victim.package))
+    load_plugin(os, c, victim)
     install_cloaking_hookset(c, victim.package)
     assert uninstall_hooks(c, (HOOK_EXEC_PS,)) == 1
     assert len(c.hooks) == 3
@@ -283,7 +282,7 @@ def test_uninstall_hooks_by_label(hosted, victim):
 
 def test_plugin_data_dir_with_no_hooks(hosted, victim, template):
     os, c = hosted
-    pid = load_plugin(os, c, victim, plugin_path(c, victim.package))
+    pid = load_plugin(os, c, victim)
     info = plugin_syscall(os, c, pid, ApiCall("get_application_info",
                                               package=victim.package))
     assert info["data_dir"] == (
@@ -367,6 +366,26 @@ def test_tick_services_exfiltrates_under_shared_uid(victim, template, catalog):
     assert tags == ["contacts", "sms"]
     assert len([r for t, r in os.exfil_sink if t == "contacts"]) == 3
     assert len([r for t, r in os.exfil_sink if t == "sms"]) == 2
+
+
+def test_tick_services_runs_a_payload_service_started_under_a_stub(
+        victim, template, catalog):
+    # The uncustomized template declares no payload service, so the first
+    # one starts under its only service stub and the second finds none free.
+    os = SimOs()
+    seed_stores(os, {"contacts": 3, "sms": 2}, seed=7)
+    os.install(victim)
+    launch_native(os, victim.package)
+    os.install(template)
+    c = create_container(os, template)
+    malicious = customize(victim, template, catalog).malicious
+    log = first_run(os, c, victim.package, serialize_manifest(malicious))
+    started = next(e for e in log if e["step"] == "start_payload_services")
+    assert started["services"] == ["QuickChatContactsService"]
+    payload_pid = c.plugin_processes[malicious.package]
+    assert os.processes[payload_pid].running_services == ("PluginServiceManager",)
+    tick_services(os, c)
+    assert [tag for tag, _ in os.exfil_sink] == ["contacts"] * 3
 
 
 def test_payload_service_renamed_around_victim_service(victim, template, catalog):
@@ -493,7 +512,7 @@ def test_shared_uid_law_over_load_sequences(hosted, template):
             package=f"org.seq.app{i}", label=f"Seq{i}",
             activities=(Component(name=f".Main{i}", kind=ACTIVITY, launcher=i % 2 == 0),),
         )
-        pid = load_plugin(os, c, m, plugin_path(c, m.package))
+        pid = load_plugin(os, c, m)
         assert os.processes[pid].uid == addon_uid
         assert pid != c.container_pid
         assert m.package not in os.registry

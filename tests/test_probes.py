@@ -86,6 +86,15 @@ def test_mechanisms_6_and_18_always_inconclusive(worlds_by_env):
             assert probe_in(worlds_by_env, env, probe_id).verdict == Verdict.INCONCLUSIVE
 
 
+def test_mechanism_6_names_a_service_started_under_a_stub(worlds_by_env):
+    # In the naive container the victim's service runs under the template's
+    # service stub; the running-services reply names it as the victim does.
+    h = EnvHandle(worlds_by_env[NAIVE_ENV].fork())
+    assert h.call(ApiCall("start_service", name=".SyncService")) == ".SyncService"
+    assert h.call(ApiCall("get_running_services")) == [".SyncService"]
+    assert run_probe(h, "6").verdict == Verdict.INCONCLUSIVE
+
+
 def test_every_native_probe_is_sound(worlds_by_env):
     report = run_probes_on_world(worlds_by_env[NATIVE_ENV])
     for outcome in report.outcomes:
