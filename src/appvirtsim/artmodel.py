@@ -1,4 +1,4 @@
-"""Runtime compilation model: per-method hotness counters and the detector.
+"""Runtime compilation model: per-method hotness counters.
 
 The runtime mirrors each executed method into a record carrying a
 compilation mode and a hotness counter. Fully ahead-of-time compiled
@@ -8,15 +8,14 @@ loop iteration.
 
 The observable this model encodes: processes hosting a virtual environment
 run framework methods ahead-of-time compiled (counter pinned at 0), while
-native execution leaves the counter climbing. The detector flags a virtual
-environment when a warmed-up sentinel method still reads zero.
+native execution leaves the counter climbing. The hotness probe in
+``probes`` flags a virtual environment when a warmed-up sentinel method
+still reads zero; this module only counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .outcomes import ProbeOutcome, Verdict
 
 AOT = "aot"
 HYBRID = "hybrid"
@@ -24,19 +23,13 @@ HYBRID = "hybrid"
 NATIVE = "native"
 VIRTUAL = "virtual"
 
-# Invocations required before the detector will trust the counter; guards
+# Invocations required before the hotness probe will trust the counter; guards
 # against flagging a method that simply never ran.
 MIN_INVOCATIONS = 10
 
 SENTINEL = "ActivityThread.currentActivityThread"
 WARMUP_INVOCATIONS = 25
 WARMUP_LOOP_ITERATIONS = 2
-
-HOTNESS_PROBE_ID = "hotness"
-
-
-class InsufficientWarmupError(RuntimeError):
-    """The sentinel has not been invoked often enough to judge."""
 
 
 @dataclass(frozen=True)
@@ -89,27 +82,3 @@ class RuntimeModel:
 def warm_up(rt: RuntimeModel) -> None:
     """Drive the sentinel past the warmup threshold, as app startup would."""
     rt.record_invocation(SENTINEL, WARMUP_LOOP_ITERATIONS, times=WARMUP_INVOCATIONS)
-
-
-def hotness_check(rt: RuntimeModel) -> ProbeOutcome:
-    """Zero hotness on a warmed-up sentinel means the code runs virtualized."""
-    record = rt.methods.get(SENTINEL)
-    if record is None or record.invocations < MIN_INVOCATIONS:
-        seen = 0 if record is None else record.invocations
-        raise InsufficientWarmupError(
-            f"{SENTINEL}: {seen} invocations recorded, need {MIN_INVOCATIONS}"
-        )
-    if record.hotness_count == 0:
-        return ProbeOutcome(
-            probe=HOTNESS_PROBE_ID,
-            verdict=Verdict.VIRTUAL_DETECTED,
-            evidence=(
-                f"{SENTINEL}: hotness_count 0 after {record.invocations} invocations "
-                "(ahead-of-time compiled)"
-            ),
-        )
-    return ProbeOutcome(
-        probe=HOTNESS_PROBE_ID,
-        verdict=Verdict.CLEAN,
-        evidence=f"{SENTINEL}: hotness_count {record.hotness_count} > 0",
-    )

@@ -29,7 +29,6 @@ from .manifest import (
     serialize_manifest,
     write_manifest_file,
 )
-from .outcomes import Verdict
 from .simos import ApiCall, ApiError
 
 EXIT_OK = 0
@@ -100,7 +99,7 @@ def _render_table(reports: list[probes.DetectionReport]) -> str:
     lines = [header, "-" * len(header)]
     for probe_id in probes.PROBE_IDS:
         cells = [
-            Verdict(verdicts[env][probe_id]).letter.ljust(w)
+            probes.Verdict(verdicts[env][probe_id]).letter.ljust(w)
             for env, w in zip(environments, widths)
         ]
         lines.append(probe_id.ljust(id_width) + "  " + "  ".join(cells))

@@ -126,6 +126,8 @@ class ContainerState:
     stub_assignments: dict[str, tuple[str, str, str]] = field(default_factory=dict)
     component_stub_map: dict[tuple[str, str, str], str] = field(default_factory=dict)
     foreground_plugin: str | None = None
+    # Plugins ever loaded; numbers process names, which a reap never frees.
+    plugin_loads: int = 0
     # Dispatch order: lowlevel before proxy, each layer in installation order.
     hooks: tuple[HookSpec, ...] = ()
     run_log: list[dict] = field(default_factory=list)
@@ -148,6 +150,7 @@ class ContainerState:
             stub_assignments=dict(self.stub_assignments),
             component_stub_map=dict(self.component_stub_map),
             foreground_plugin=self.foreground_plugin,
+            plugin_loads=self.plugin_loads,
             hooks=self.hooks,
             run_log=list(self.run_log),
         )
@@ -200,9 +203,10 @@ def load_plugin(os: SimOs, c: ContainerState, plugin: AppManifest) -> int:
     addon_record = os.registry[c.addon_package]
     pid = os.spawn_process(
         c.addon_package,
-        name=f"{c.addon_package}:p{len(c.plugin_manifests) + 1}",
+        name=f"{c.addon_package}:p{c.plugin_loads + 1}",
         maps=[addon_record.apk_path, apk_path],
     )
+    c.plugin_loads += 1
     os.mkdir(data_dir)
     c.plugin_manifests[plugin.package] = plugin
     c.plugin_processes[plugin.package] = pid
@@ -287,11 +291,11 @@ def _rewrite_reply(c: ContainerState, call: ApiCall, reply):
 
 def plugin_syscall(os: SimOs, c: ContainerState, caller: int, call: ApiCall):
     """Run one plugin call through hooks, baseline rewriting, and the OS."""
+    if caller not in os.processes:  # a dead plugin may already be reaped
+        raise PluginGoneError(f"{c.addon_package}: process {caller} is gone")
     plugin_package = c.pid_to_plugin(caller)
     if plugin_package is None:
         raise NotAPluginError(f"pid {caller} is not a plugin process of {c.addon_package}")
-    if caller not in os.processes:
-        raise PluginGoneError(f"{plugin_package}: process {caller} is gone")
 
     on_target = [h for h in c.hooks if h.target == call.kind]
     replacement = next((h for h in on_target if h.mode == REPLACE), None)
@@ -419,6 +423,24 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
     return log
 
 
+def _reap_plugin(os: SimOs, c: ContainerState, package: str) -> None:
+    """Forget a plugin whose process died: its bookkeeping, its stubs (free
+    for the next launch), its receivers under the shared UID that no live
+    plugin also declares, and its foreground."""
+    manifest = c.plugin_manifests.pop(package)
+    for table in (c.plugin_processes, c.plugin_apk_paths, c.plugin_data_dirs):
+        del table[package]
+    for key in [k for k in c.component_stub_map if k[0] == package]:
+        del c.stub_assignments[c.component_stub_map.pop(key)]
+    uid = os.registry[c.addon_package].uid
+    kept = {r.name for m in c.plugin_manifests.values() for r in m.receivers}
+    for receiver in manifest.receivers:
+        if receiver.name not in kept:
+            os.dynamic_receivers.pop((uid, receiver.name), None)
+    if c.foreground_plugin == package:
+        c.foreground_plugin = None
+
+
 def tick_services(os: SimOs, c: ContainerState) -> None:
     """One synchronous sweep of every running payload service.
 
@@ -426,9 +448,9 @@ def tick_services(os: SimOs, c: ContainerState) -> None:
     payload store under the shared UID and appends (payload tag, record)
     pairs to the exfiltration sink. A denied read is logged, never raised:
     the corresponding permission simply is not there. A plugin whose process
-    was killed is skipped with a logged warning.
+    was killed is reaped with a logged warning.
     """
-    for package, pid in c.plugin_processes.items():
+    for package, pid in list(c.plugin_processes.items()):
         manifest = c.plugin_manifests[package]
         proc = os.processes.get(pid)
         if proc is None:
@@ -436,6 +458,7 @@ def tick_services(os: SimOs, c: ContainerState) -> None:
                 "step": "warning",
                 "detail": f"{package}: process {pid} is gone; not ticked",
             })
+            _reap_plugin(os, c, package)
             continue
         for wire_name in proc.running_services:
             service = manifest.component(SERVICE, _map_name_back(c, wire_name))

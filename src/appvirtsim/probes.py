@@ -1,9 +1,11 @@
 """The detection mechanisms, run as environment-agnostic probes.
 
-Each probe sees only an EnvHandle: the manifest its app believes it
-declared plus the system-call surface. Verdicts are computed purely from
-call replies, never from simulator internals, so the same probe code runs
-unchanged in every environment.
+There are 19 probe functions: the eighteen mechanisms and the hotness
+detector. Each sees only an EnvHandle: the manifest its app believes it
+declared, the system-call surface, and its process's runtime counters.
+Verdicts are computed purely from what the handle shows, never from
+simulator internals, so the same probe code runs unchanged in every
+environment.
 
 Mechanisms 6 and 16 target behaviors reported as non-functional in
 practice; 6 and 18 therefore return inconclusive in every environment
@@ -13,11 +15,11 @@ a naive container.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 
-from . import artmodel
+from .artmodel import MIN_INVOCATIONS, SENTINEL
 from .manifest import extract_components
-from .outcomes import ProbeOutcome, Verdict
 from .permissions import DANGEROUS_PERMISSIONS, STORE_GUARDS
 from .simos import (
     AccessDeniedError,
@@ -31,7 +33,27 @@ from .simos import (
 )
 from .worlds import ENVIRONMENTS, EnvHandle, MatrixScenario, WORLD_BUILDERS, World
 
-PROBE_IDS = tuple(str(n) for n in range(1, 19)) + (artmodel.HOTNESS_PROBE_ID,)
+
+class Verdict(str, enum.Enum):
+    VIRTUAL_DETECTED = "virtual_detected"
+    CLEAN = "clean"
+    INCONCLUSIVE = "inconclusive"
+    ERROR = "error"
+
+    @property
+    def letter(self) -> str:
+        return {"virtual_detected": "V", "clean": "C", "inconclusive": "I", "error": "E"}[
+            self.value
+        ]
+
+
+@dataclass(frozen=True)
+class ProbeOutcome:
+    """One mechanism's verdict plus human-readable evidence."""
+
+    probe: str
+    verdict: Verdict
+    evidence: str
 
 
 @dataclass
@@ -333,10 +355,25 @@ def _probe_18(h: EnvHandle):
     )
 
 
+def _probe_hotness(h: EnvHandle):
+    """Zero hotness on a warmed-up sentinel means the code runs virtualized."""
+    record = h.runtime.methods.get(SENTINEL)  # method() would insert a record
+    seen = 0 if record is None else record.invocations
+    if seen < MIN_INVOCATIONS:
+        return Verdict.ERROR, (f"warmup guard: {SENTINEL}: {seen} invocations recorded, "
+                               f"need {MIN_INVOCATIONS}")
+    if record.hotness_count == 0:
+        return Verdict.VIRTUAL_DETECTED, (f"{SENTINEL}: hotness_count 0 after {seen} "
+                                          "invocations (ahead-of-time compiled)")
+    return Verdict.CLEAN, f"{SENTINEL}: hotness_count {record.hotness_count} > 0"
+
+
+# Probe id -> function, in definition order: mechanisms 1-18, then hotness.
 PROBE_FUNCS = {
     name[len("_probe_"):]: fn
     for name, fn in globals().items() if name.startswith("_probe_")
 }
+PROBE_IDS = tuple(PROBE_FUNCS)
 
 
 def run_probe(handle: EnvHandle, probe_id: str) -> ProbeOutcome:
@@ -345,11 +382,6 @@ def run_probe(handle: EnvHandle, probe_id: str) -> ProbeOutcome:
     Only SimOsError counts as modelled; any other exception is a bug and
     propagates.
     """
-    if probe_id == artmodel.HOTNESS_PROBE_ID:
-        try:
-            return artmodel.hotness_check(handle.runtime)
-        except artmodel.InsufficientWarmupError as exc:
-            return ProbeOutcome(probe_id, Verdict.ERROR, f"warmup guard: {exc}")
     fn = PROBE_FUNCS.get(probe_id)
     if fn is None:
         raise ValueError(f"unknown probe id: {probe_id!r}")

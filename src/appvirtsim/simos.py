@@ -415,7 +415,7 @@ class SimOs:
         tasks, services = proc.running_task_components, proc.running_services
         if kind == ACTIVITY:
             tasks += ((ACTIVITY, comp.name),)
-        elif kind == SERVICE:
+        elif kind == SERVICE and comp.name not in services:  # a service runs once
             services += (comp.name,)
         self.processes[proc.pid] = SimProcess(proc.pid, proc.uid, proc.name, proc.owner_package,
                                               proc.memory_maps, tasks, services)

@@ -27,13 +27,13 @@ from appvirtsim.defaults import (
     default_victim,
 )
 from appvirtsim.manifest import extract_components
-from appvirtsim.outcomes import Verdict
-from appvirtsim.probes import PROBE_IDS, run_matrix, run_probes_on_world
+from appvirtsim.probes import PROBE_IDS, Verdict, run_matrix, run_probe, run_probes_on_world
 from appvirtsim.simos import ApiCall
 from appvirtsim.worlds import (
     CLOAKED_ENV,
     NAIVE_ENV,
     NATIVE_ENV,
+    EnvHandle,
     MatrixScenario,
     build_cloaked_world,
     build_naive_world,
@@ -196,9 +196,9 @@ def test_criterion_6_runtime_counter_model():
 
         scenario = default_scenario()
         native = build_native_world(scenario)
-        assert artmodel.hotness_check(native.runtime).verdict == Verdict.CLEAN
+        assert run_probe(EnvHandle(native), "hotness").verdict == Verdict.CLEAN
         for world in (build_naive_world(scenario), build_cloaked_world(scenario)):
-            assert artmodel.hotness_check(world.runtime).verdict == (
+            assert run_probe(EnvHandle(world), "hotness").verdict == (
                 Verdict.VIRTUAL_DETECTED
             )
 

@@ -9,13 +9,20 @@ from appvirtsim.artmodel import (
     MIN_INVOCATIONS,
     NATIVE,
     VIRTUAL,
-    InsufficientWarmupError,
     SENTINEL,
     RuntimeModel,
-    hotness_check,
     warm_up,
 )
-from appvirtsim.outcomes import Verdict
+from appvirtsim.defaults import default_victim
+from appvirtsim.probes import ProbeOutcome, Verdict, run_probe
+from appvirtsim.simos import SimOs
+from appvirtsim.worlds import NATIVE_ENV, EnvHandle, World
+
+
+def _hotness(rt: RuntimeModel):
+    """The hotness probe's outcome in a world whose probe process runs ``rt``."""
+    world = World(NATIVE_ENV, SimOs(), 0, default_victim(), rt)
+    return run_probe(EnvHandle(world), "hotness")
 
 
 def test_hybrid_counter_arithmetic():
@@ -53,23 +60,26 @@ def test_default_modes_per_environment():
 def test_check_verdicts():
     native = RuntimeModel(NATIVE)
     warm_up(native)
-    assert hotness_check(native).verdict == Verdict.CLEAN
+    assert _hotness(native).verdict == Verdict.CLEAN
 
     virtual = RuntimeModel(VIRTUAL)
     warm_up(virtual)
-    assert hotness_check(virtual).verdict == Verdict.VIRTUAL_DETECTED
+    assert _hotness(virtual).verdict == Verdict.VIRTUAL_DETECTED
 
 
 def test_check_before_warmup_guarded():
     rt = RuntimeModel(VIRTUAL)
-    with pytest.raises(InsufficientWarmupError):
-        hotness_check(rt)
+    assert _hotness(rt) == ProbeOutcome(
+        "hotness", Verdict.ERROR,
+        f"warmup guard: {SENTINEL}: 0 invocations recorded, need {MIN_INVOCATIONS}")
+    assert rt.methods == {}  # the probe reads the counter without creating it
     for _ in range(MIN_INVOCATIONS - 1):
         rt.record_invocation("ActivityThread.currentActivityThread")
-    with pytest.raises(InsufficientWarmupError):
-        hotness_check(rt)
+    assert _hotness(rt) == ProbeOutcome(
+        "hotness", Verdict.ERROR,
+        f"warmup guard: {SENTINEL}: 9 invocations recorded, need {MIN_INVOCATIONS}")
     rt.record_invocation("ActivityThread.currentActivityThread")
-    assert hotness_check(rt).verdict == Verdict.VIRTUAL_DETECTED
+    assert _hotness(rt).verdict == Verdict.VIRTUAL_DETECTED
 
 
 _sequences = st.lists(st.integers(min_value=0, max_value=20), max_size=60)

@@ -19,8 +19,7 @@ from appvirtsim.manifest import (
     serialize_manifest,
     write_manifest_file,
 )
-from appvirtsim.outcomes import ProbeOutcome, Verdict
-from appvirtsim.probes import DetectionReport
+from appvirtsim.probes import DetectionReport, ProbeOutcome, Verdict
 from conftest import DATA_DIR, load_golden
 
 GOLDEN = str(DATA_DIR / "expected_matrix.json")

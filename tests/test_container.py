@@ -26,6 +26,7 @@ from appvirtsim.container import (
 from appvirtsim.customization import customize, validate_result
 from appvirtsim.manifest import (
     ACTIVITY,
+    RECEIVER,
     SERVICE,
     AppManifest,
     Component,
@@ -169,9 +170,7 @@ def test_relaunch_reuses_assigned_stub(hosted, victim):
     second = plugin_syscall(os, c, pid, ApiCall("start_service", name=".SyncService"))
     assert first == second == ".SyncService"
     assert c.stub_assignments == assigned
-    assert os.processes[pid].running_services == (
-        "PluginServiceManager", "PluginServiceManager",
-    )
+    assert os.processes[pid].running_services == ("PluginServiceManager",)
 
 
 def test_set_component_enabled_not_rewritten(hosted, victim):
@@ -518,3 +517,101 @@ def test_shared_uid_law_over_load_sequences(hosted, template):
         assert m.package not in os.registry
         pids.add(pid)
     assert len(pids) == 6
+
+
+def test_second_start_service_does_not_double_the_sweep():
+    # Restarting a running payload service leaves one running entry, so the
+    # next sweep reads each store once, as the first did.
+    world = build_cloaked_world(default_scenario()).fork()
+    os, c = world.os, world.container
+    tick_services(os, c)
+    assert len(os.exfil_sink) == 5
+    payload_pid = c.plugin_processes[world.customization.malicious.package]
+    plugin_syscall(os, c, payload_pid, ApiCall("start_service", name="QuickChatContactsService"))
+    before = len(os.exfil_sink)
+    tick_services(os, c)
+    assert len(os.exfil_sink) - before == 5
+
+
+def test_tick_services_reaps_a_dead_plugin():
+    # The payload kills the victim plugin; the sweep that finds it dead drops
+    # it from every table, and its receivers from the shared uid.
+    world = build_cloaked_world(default_scenario())
+    os, c = world.os, world.container
+    victim, victim_pid = world.probe_manifest.package, world.probe_pid
+    uid = os.registry[c.addon_package].uid
+    assert (uid, ".MsgReceiver") in os.dynamic_receivers
+    payload_pid = c.plugin_processes[world.customization.malicious.package]
+    assert plugin_syscall(os, c, payload_pid, ApiCall(
+        "kill_background_processes", package=c.addon_package)) == 2
+    tick_services(os, c)
+    for table in (c.plugin_manifests, c.plugin_processes, c.plugin_apk_paths,
+                  c.plugin_data_dirs):
+        assert victim not in table
+    assert all(owner != victim for owner, _, _ in c.stub_assignments.values())
+    assert all(key[0] != victim for key in c.component_stub_map)
+    assert (uid, ".MsgReceiver") not in os.dynamic_receivers
+    assert c.foreground_plugin is None
+    assert set(c.plugin_processes.values()) <= set(os.processes)
+    warnings = [e for e in c.run_log if "is gone" in e.get("detail", "")]
+    tick_services(os, c)
+    assert [e for e in c.run_log if "is gone" in e.get("detail", "")] == warnings
+    with pytest.raises(PluginGoneError):
+        plugin_syscall(os, c, victim_pid, ApiCall("get_installed_packages"))
+
+
+def test_reaped_plugin_frees_its_stub_for_the_next_launch(victim, template, catalog):
+    # The template has one service stub, held by the payload. Once the victim
+    # has killed the payload and a sweep has reaped it, the stub is free.
+    os = SimOs()
+    seed_stores(os, {"contacts": 3, "sms": 2}, seed=7)
+    os.install(victim)
+    launch_native(os, victim.package)
+    os.install(template)
+    c = create_container(os, template)
+    malicious = customize(victim, template, catalog).malicious
+    first_run(os, c, victim.package, serialize_manifest(malicious))
+    victim_pid = c.plugin_processes[victim.package]
+    assert c.stub_assignments["PluginServiceManager"][0] == malicious.package
+    assert plugin_syscall(os, c, victim_pid, ApiCall(
+        "kill_background_processes", package=template.package)) == 2
+    tick_services(os, c)
+    reply = plugin_syscall(os, c, victim_pid, ApiCall("start_service", name=".SyncService"))
+    assert reply == ".SyncService"
+    assert c.stub_assignments["PluginServiceManager"] == (
+        victim.package, SERVICE, ".SyncService")
+    assert os.processes[victim_pid].running_services == ("PluginServiceManager",)
+
+
+def test_plugin_process_names_stay_unique_after_a_reap(hosted, template):
+    os, c = hosted
+    apps = [AppManifest(package=f"org.reap.app{i}", label=f"Reap{i}",
+                        activities=(Component(name=".Main", kind=ACTIVITY, launcher=True),))
+            for i in range(3)]
+    first, second = (load_plugin(os, c, m) for m in apps[:2])
+    assert [os.processes[p].name for p in (first, second)] == [
+        f"{template.package}:p1", f"{template.package}:p2"]
+    plugin_syscall(os, c, second, ApiCall("kill_background_processes",
+                                          package=template.package))
+    tick_services(os, c)
+    assert list(c.plugin_processes) == [apps[1].package]
+    third = load_plugin(os, c, apps[2])
+    names = [p.name for p in os.processes.values()]
+    assert os.processes[third].name == f"{template.package}:p3"
+    assert len(names) == len(set(names))
+
+
+def test_reap_keeps_a_receiver_a_live_plugin_also_declares(hosted, template):
+    os, c = hosted
+    shared = Component(name=".Shared", kind=RECEIVER, intents=("org.reap.PING",))
+    apps = [AppManifest(package=f"org.reap.app{i}", label=f"Reap{i}",
+                        receivers=(shared, Component(name=f".Own{i}", kind=RECEIVER,
+                                                     intents=("org.reap.PING",))))
+            for i in range(2)]
+    load_plugin(os, c, apps[0])
+    live = load_plugin(os, c, apps[1])
+    plugin_syscall(os, c, live, ApiCall("kill_background_processes",
+                                        package=template.package))
+    tick_services(os, c)
+    uid = os.registry[template.package].uid
+    assert sorted(name for u, name in os.dynamic_receivers if u == uid) == [".Own1", ".Shared"]

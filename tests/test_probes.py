@@ -1,5 +1,9 @@
+import ast
 import copy
-from dataclasses import fields, is_dataclass
+import inspect
+import random
+import textwrap
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,11 +15,14 @@ from appvirtsim.container import (
     first_run,
     tick_services,
 )
+from appvirtsim.corpus import corpus_manifest
+from appvirtsim.defaults import default_catalog, default_companion, default_template
 from appvirtsim.manifest import COMPONENT_KINDS, serialize_manifest
-from appvirtsim.outcomes import Verdict
 from appvirtsim.permissions import ALL_PERMISSIONS, STORE_NAMES
 from appvirtsim.probes import (
+    PROBE_FUNCS,
     PROBE_IDS,
+    Verdict,
     run_matrix,
     run_probe,
     run_probes_on_world,
@@ -28,6 +35,7 @@ from appvirtsim.worlds import (
     NATIVE_ENV,
     WORLD_BUILDERS,
     EnvHandle,
+    MatrixScenario,
     build_cloaked_world,
     build_naive_world,
     build_native_world,
@@ -337,3 +345,62 @@ def test_detection_report_serialization(worlds_by_env):
     assert len(doc["outcomes"]) == 19
     assert sum(doc["summary"].values()) == 19
     assert all(o["evidence"] for o in doc["outcomes"])
+
+
+# Mechanisms a naive container gives away for every corpus victim.
+NAIVE_DETECTS = {"2", "4", "5", "7", "8", "9", "10", "11", "12", "14", "16", "hotness"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(index=st.integers(0, 9999), seed=st.integers(0, 2**32 - 1), webview=st.booleans())
+def test_matrix_laws_over_corpus_victims(index, seed, webview):
+    victim = corpus_manifest(index, random.Random(seed))
+    if webview:
+        victim = replace(victim, native_components=frozenset({"webview"}))
+    scenario = MatrixScenario(victim, default_template(), default_catalog(),
+                              default_companion(), seed=seed)
+    native, naive, cloaked = (report.verdicts() for report in run_matrix(scenario))
+    mechanisms = PROBE_IDS[:-1]
+    assert not {"virtual_detected", "error"} & set(native.values()), native
+    assert {p: cloaked[p] for p in mechanisms} == {p: native[p] for p in mechanisms}
+    assert (native["hotness"], naive["hotness"], cloaked["hotness"]) == (
+        "clean", "virtual_detected", "virtual_detected")
+    detected = {p for p, verdict in naive.items() if verdict == "virtual_detected"}
+    assert NAIVE_DETECTS <= detected, naive
+    assert ("17" in detected) == webview
+
+
+HANDLE_SURFACE = {"call", "declared", "own_package", "runtime"}
+
+
+def handle_misuses(fn) -> list[str]:
+    """Every use of ``fn``'s handle argument other than ``.call(...)``,
+    ``.declared``, ``.own_package`` or ``.runtime``, as source text."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    func = tree.body[0]
+    handle = func.args.args[0].arg
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    misuses = []
+    for node in ast.walk(func):
+        if not (isinstance(node, ast.Name) and node.id == handle):
+            continue
+        attr = parents[node]
+        ok = isinstance(attr, ast.Attribute) and attr.attr in HANDLE_SURFACE
+        if ok and attr.attr == "call":
+            call = parents.get(attr)
+            ok = isinstance(call, ast.Call) and call.func is attr
+        if not ok:
+            misuses.append(ast.unparse(attr) if isinstance(attr, ast.Attribute) else handle)
+    return misuses
+
+
+def test_probes_see_only_their_handle():
+    assert list(PROBE_FUNCS) == list(PROBE_IDS)
+    assert {probe: handle_misuses(fn) for probe, fn in PROBE_FUNCS.items()} == {
+        probe: [] for probe in PROBE_IDS}
+
+    def peeking_probe(h):
+        h.call(ApiCall("get_installed_packages"))
+        return h._world.os.registry, h, h.call
+
+    assert sorted(handle_misuses(peeking_probe)) == ["h", "h._world", "h.call"]

@@ -243,6 +243,17 @@ def test_start_service_records_running(os_world, victim):
     assert services == [".SyncService"]
 
 
+def test_second_start_service_keeps_one_entry_while_activities_stack(os_world, victim):
+    pid = native_pid(os_world, victim.package)
+    for _ in range(2):
+        os_world.syscall(pid, ApiCall("start_service", name=".SyncService"))
+        os_world.syscall(pid, ApiCall("start_activity", name=".MainActivity"))
+    assert os_world.processes[pid].running_services == (".SyncService",)
+    assert os_world.processes[pid].running_task_components == (
+        (ACTIVITY, ".MainActivity"), (ACTIVITY, ".MainActivity"),
+    )
+
+
 def test_exfil_sink_only_grows(os_world):
     before = len(os_world.exfil_sink)
     os_world.exfil_sink.append(("contacts", "r1"))
