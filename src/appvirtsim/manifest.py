@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii as _q
 
 __all__ = [
     "ACTIVITY",
@@ -53,7 +54,6 @@ __all__ = [
     "parse_manifest",
     "parse_manifest_dict",
     "serialize_manifest",
-    "manifest_to_dict",
     "load_manifest_file",
     "write_manifest_file",
     "extract_components",
@@ -126,16 +126,19 @@ class Component:
         )
         if not self.name:
             raise SchemaError("component name must be non-empty")
-        allowed = _KIND_FIELDS.get(self.kind)
-        if allowed is None:
+        forbidden = _FORBIDDEN.get(self.kind)
+        if forbidden is None:
             raise SchemaError(f"unknown component kind: {self.kind!r}")
-        for key, default in _OPTIONAL_DEFAULTS.items():
-            if key not in allowed and getattr(self, key) != default:
+        for key, default in forbidden:
+            if getattr(self, key) != default:
                 raise SchemaError(f"{self.name}: {key} is not allowed for kind {self.kind}")
 
 
-_OPTIONAL_DEFAULTS = {
-    f.name: f.default for f in fields(Component) if f.name not in ("name", "kind")
+# Per kind, each optional field it may not carry, with the default it must keep.
+_FORBIDDEN = {
+    kind: tuple((f.name, f.default) for f in fields(Component)
+                if f.name not in ("name", "kind") and f.name not in allowed)
+    for kind, allowed in _KIND_FIELDS.items()
 }
 
 
@@ -169,6 +172,8 @@ class AppManifest:
             )
         if not self.label:
             object.__setattr__(self, "label", self.package)
+        if isinstance(self.version, bool):  # parse_manifest_dict refuses one too
+            raise SchemaError("version must be an integer, not a bool")
         if self.version < 0:
             raise SchemaError("version must be >= 0")
         for kind, key in KIND_KEYS.items():
@@ -197,9 +202,11 @@ class AppManifest:
         return self.activities + self.services + self.receivers + self.providers
 
     def component(self, kind: str, name: str) -> Component | None:
-        for comp in self.components():
-            if comp.kind == kind and comp.name == name:
-                return comp
+        key = KIND_KEYS.get(kind)
+        if key is not None:
+            for comp in getattr(self, key):
+                if comp.name == name:
+                    return comp
         return None
 
 
@@ -314,49 +321,61 @@ def parse_manifest(text: str) -> AppManifest:
     return parse_manifest_dict(doc)
 
 
-def _component_to_dict(comp: Component) -> dict:
-    entry: dict = {"name": comp.name}
-    if comp.launcher:
-        entry["launcher"] = True
-    if comp.intents:
-        entry["intents"] = list(comp.intents)
-    if comp.requires_permissions:
-        entry["requires_permissions"] = sorted(comp.requires_permissions)
-    if comp.payload is not None:
-        entry["payload"] = comp.payload
-    if comp.stub:
-        entry["stub"] = True
-    return entry
+# The document writer lays values out exactly as json.dumps(doc, indent=2).
+def _array(items: list[str], pad: str) -> str:
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]" if items else "[]"
 
 
-def manifest_to_dict(m: AppManifest) -> dict:
-    doc: dict = {
-        "package": m.package,
-        "label": m.label,
-        "version": m.version,
-        "permissions": sorted(m.permissions),
-        "features": sorted(m.features),
-        "components": {
-            key: [_component_to_dict(c) for c in getattr(m, key)]
-            for key in KIND_KEYS.values()
-        },
-        "resources": {"launcher_icon": m.launcher_icon},
-        "native_components": sorted(m.native_components),
-    }
-    if m.shortcut_icon is not None:
-        doc["resources"]["shortcut_icon"] = m.shortcut_icon
-    if m.shortcut_label is not None:
-        doc["resources"]["shortcut_label"] = m.shortcut_label
-    return doc
+def _object(pairs: list[tuple[str, object]], pad: str) -> str:
+    """A JSON object of encoded values; a pair whose value is false is left out."""
+    inner = pad + "  "
+    return "{\n" + ",\n".join(f'{inner}"{k}": {v}' for k, v in pairs if v) + "\n" + pad + "}"
+
+
+def _strings(values, pad: str) -> str:
+    return _array(list(map(_q, values)), pad)
+
+
+def _component_json(comp: Component, pad: str) -> str:
+    inner = pad + "  "
+    return _object([
+        ("name", _q(comp.name)),
+        ("launcher", comp.launcher and "true"),
+        ("intents", comp.intents and _strings(comp.intents, inner)),
+        ("requires_permissions",
+         comp.requires_permissions and _strings(sorted(comp.requires_permissions), inner)),
+        ("payload", comp.payload is not None and _q(comp.payload)),
+        ("stub", comp.stub and "true"),
+    ], pad)
 
 
 def serialize_manifest(m: AppManifest) -> str:
-    """Canonical document text: fixed key order, sorted sets, trailing newline.
+    """Canonical document text: fixed key order, sorted sets, fields at their
+    default left out of components and resources, trailing newline.
 
     parse_manifest(serialize_manifest(m)) == m for every valid manifest, and
     the output is byte-stable so generated corpora diff cleanly.
     """
-    return json.dumps(manifest_to_dict(m), indent=2) + "\n"
+    components = [
+        (key, _array([_component_json(c, "      ") for c in getattr(m, key)], "    "))
+        for key in KIND_KEYS.values()
+    ]
+    resources = [
+        ("launcher_icon", _q(m.launcher_icon)),
+        ("shortcut_icon", m.shortcut_icon is not None and _q(m.shortcut_icon)),
+        ("shortcut_label", m.shortcut_label is not None and _q(m.shortcut_label)),
+    ]
+    return _object([
+        ("package", _q(m.package)),
+        ("label", _q(m.label)),
+        ("version", str(m.version)),
+        ("permissions", _strings(sorted(m.permissions), "  ")),
+        ("features", _strings(sorted(m.features), "  ")),
+        ("components", _object(components, "  ")),
+        ("resources", _object(resources, "  ")),
+        ("native_components", _strings(sorted(m.native_components), "  ")),
+    ], "") + "\n"
 
 
 def load_manifest_file(path) -> AppManifest:

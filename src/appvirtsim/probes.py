@@ -31,7 +31,7 @@ from .simos import (
     SimOsError,
     StaticReceiverError,
 )
-from .worlds import ENVIRONMENTS, EnvHandle, MatrixScenario, WORLD_BUILDERS, World
+from .worlds import ENVIRONMENTS, EnvHandle, MatrixScenario, WORLD_BUILDERS, World, seeded_device
 
 
 class Verdict(str, enum.Enum):
@@ -403,9 +403,11 @@ def run_probes_on_world(world: World) -> DetectionReport:
 
 def run_matrix(scenario: MatrixScenario,
                environments=ENVIRONMENTS) -> list[DetectionReport]:
-    """Build each environment from scratch and run all probes in it."""
+    """Build each environment from one seeded device and run all probes in it.
+    Each build gets its own fork of the device, which this call alone seeds."""
+    device = seeded_device(scenario)
     reports = []
     for environment in environments:
-        world = WORLD_BUILDERS[environment](scenario)
+        world = WORLD_BUILDERS[environment](scenario, device=device.fork())
         reports.append(run_probes_on_world(world))
     return reports

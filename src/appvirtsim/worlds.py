@@ -10,8 +10,10 @@ app's process and declared manifest, and that process's runtime model:
     the victim), the probe app is installed natively, the bypass hookset is
     live, and the first-run sequence has executed.
 
-Worlds are deterministic for a given scenario. Callers isolate probes from
-each other by running each on its own ``World.fork``.
+Worlds are deterministic for a given scenario. Each is built on a
+``seeded_device`` (nothing installed, the scenario's stores filled); a matrix
+seeds one and builds every environment on a fork of it. Callers isolate
+probes from each other by running each on its own ``World.fork``.
 """
 
 from __future__ import annotations
@@ -80,6 +82,13 @@ def seed_stores(os: SimOs, counts: dict[str, int], seed: int) -> None:
         os.seed_store(store, records)
 
 
+def seeded_device(sc: MatrixScenario) -> SimOs:
+    """A device with nothing installed and the scenario's data stores filled."""
+    os = SimOs()
+    seed_stores(os, sc.store_counts, sc.seed)
+    return os
+
+
 @dataclass
 class World:
     environment: str
@@ -135,9 +144,8 @@ def launch_native(os: SimOs, package: str) -> int:
     return pid
 
 
-def build_native_world(sc: MatrixScenario) -> World:
-    os = SimOs()
-    seed_stores(os, sc.store_counts, sc.seed)
+def build_native_world(sc: MatrixScenario, device: SimOs | None = None) -> World:
+    os = device if device is not None else seeded_device(sc)
     os.install(sc.victim)
     pid = launch_native(os, sc.victim.package)
     runtime = artmodel.RuntimeModel(artmodel.NATIVE)
@@ -145,9 +153,8 @@ def build_native_world(sc: MatrixScenario) -> World:
     return World(NATIVE_ENV, os, pid, sc.victim, runtime)
 
 
-def build_naive_world(sc: MatrixScenario) -> World:
-    os = SimOs()
-    seed_stores(os, sc.store_counts, sc.seed)
+def build_naive_world(sc: MatrixScenario, device: SimOs | None = None) -> World:
+    os = device if device is not None else seeded_device(sc)
     os.install(sc.template)
     c = container.create_container(os, sc.template)
     container.load_plugin(os, c, sc.companion)
@@ -157,15 +164,14 @@ def build_naive_world(sc: MatrixScenario) -> World:
     return World(NAIVE_ENV, os, pid, sc.victim, runtime, container=c)
 
 
-def build_cloaked_world(sc: MatrixScenario,
-                        drop_hook_labels: tuple[str, ...] = ()) -> World:
+def build_cloaked_world(sc: MatrixScenario, drop_hook_labels: tuple[str, ...] = (),
+                        device: SimOs | None = None) -> World:
     """Customize, install, hook, and execute the first-run sequence.
 
     ``drop_hook_labels`` builds degraded variants for measuring what each
     bypass hook contributes; ``CLOAK_HOOK_LABELS`` drops the whole hookset.
     """
-    os = SimOs()
-    seed_stores(os, sc.store_counts, sc.seed)
+    os = device if device is not None else seeded_device(sc)
     os.install(sc.victim)
     launch_native(os, sc.victim.package)
 

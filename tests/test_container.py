@@ -1,14 +1,19 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from appvirtsim import permissions as perms
 from appvirtsim.container import (
     AFTER,
     BEFORE,
+    LAYERS,
+    MODES,
     REPLACE,
     AlreadyLoadedError,
     CatalogFetchError,
+    ContainerGoneError,
+    ContainerState,
     HOOK_EXEC_PS,
     LOWLEVEL,
     PROXY,
@@ -208,6 +213,82 @@ def test_hook_composition_order(hosted, victim):
     install_hook(c, HookSpec(PROXY, "read_proc_maps", AFTER, tag_after("px-a1")))
     plugin_syscall(os, c, pid, ApiCall("read_proc_maps"))
     assert trace == ["ll-b1", "ll-b2", "px-b1", "px-a1", "ll-a2", "ll-a1"]
+
+
+def test_dispatch_order_over_both_layers(hosted, victim):
+    # Before hooks run in dispatch order (lowlevel, then proxy, each in
+    # installation order), the first replace hook in that order answers the
+    # rewritten call, after hooks run in reverse, and hooks on other
+    # targets stay out of it.
+    os, c = hosted
+    pid = load_plugin(os, c, victim)
+
+    def before(label):
+        return lambda call: call._replace(cmd=f"{call.cmd}|{label}")
+
+    def replace_with(label):
+        return lambda call: f"{label}({call.cmd})"
+
+    def after(label):
+        return lambda call, reply: f"{reply}|{label}"
+
+    def elsewhere(call):
+        raise AssertionError("a hook on another target ran")
+
+    for layer, mode, fn in [
+        (PROXY, BEFORE, before("px-b")),
+        (PROXY, REPLACE, replace_with("px-r")),
+        (LOWLEVEL, BEFORE, before("ll-b1")),
+        (LOWLEVEL, AFTER, after("ll-a1")),
+        (LOWLEVEL, BEFORE, before("ll-b2")),
+        (LOWLEVEL, REPLACE, replace_with("ll-r1")),
+        (LOWLEVEL, REPLACE, replace_with("ll-r2")),
+        (PROXY, AFTER, after("px-a")),
+        (LOWLEVEL, AFTER, after("ll-a2")),
+    ]:
+        install_hook(c, HookSpec(layer, "exec_shell", mode, fn))
+    install_hook(c, HookSpec(LOWLEVEL, "read_proc_maps", BEFORE, elsewhere))
+    reply = plugin_syscall(os, c, pid, ApiCall("exec_shell", cmd="ps"))
+    assert reply == "ll-r1(ps|ll-b1|ll-b2|px-b)|px-a|ll-a2|ll-a1"
+
+
+def regrouped(hooks) -> dict:
+    by_target: dict = {}
+    for h in hooks:
+        by_target.setdefault(h.target, []).append(h)
+    return {target: tuple(group) for target, group in by_target.items()}
+
+
+_HOOK_LABELS = ("a", "b", "c")
+_HOOK_OPS = st.one_of(
+    st.tuples(st.just("install"), st.sampled_from(LAYERS),
+              st.sampled_from(("exec_shell", "read_proc_maps", "get_application_info")),
+              st.sampled_from(MODES), st.sampled_from(_HOOK_LABELS)),
+    st.tuples(st.just("uninstall"), st.frozensets(st.sampled_from(_HOOK_LABELS))),
+    st.just(("fork",)),
+)
+
+
+@given(st.lists(_HOOK_OPS, max_size=30))
+def test_hook_index_is_the_hook_list_by_target(ops):
+    # After any install, uninstall and fork sequence the index regroups the
+    # hook list, and later changes to a fork leave its parent's index alone.
+    c = ContainerState("org.example.addon", AppManifest("org.example.addon"), 1,
+                       "/data/data/org.example.addon/Plugin")
+    parents = []
+    for op in ops:
+        if op[0] == "install":
+            _, layer, target, mode, label = op
+            install_hook(c, HookSpec(layer, target, mode, lambda call, *reply: call, label))
+        elif op[0] == "uninstall":
+            uninstall_hooks(c, op[1])
+        else:
+            parents.append((c, dict(c.hooks_by_target)))
+            c = c.fork()
+            assert c.hooks_by_target is not parents[-1][0].hooks_by_target
+        assert c.hooks_by_target == regrouped(c.hooks)
+    for parent, index in parents:
+        assert parent.hooks_by_target == index == regrouped(parent.hooks)
 
 
 def test_hook_on_unknown_target_rejected():
@@ -615,3 +696,20 @@ def test_reap_keeps_a_receiver_a_live_plugin_also_declares(hosted, template):
     tick_services(os, c)
     uid = os.registry[template.package].uid
     assert sorted(name for u, name in os.dynamic_receivers if u == uid) == [".Own1", ".Shared"]
+
+
+def test_first_run_in_a_dead_container_is_a_typed_error():
+    # The payload kills every other process of the add-on, the container's
+    # included; a later first run is refused before its first system call.
+    world = build_cloaked_world(default_scenario()).fork()
+    os, c = world.os, world.container
+    malicious = world.customization.malicious
+    assert plugin_syscall(os, c, c.plugin_processes[malicious.package], ApiCall(
+        "kill_background_processes", package=c.addon_package)) == 2
+    tick_services(os, c)
+    assert c.container_pid not in os.processes
+    log, shortcuts, pids = list(c.run_log), list(os.shortcuts), set(os.processes)
+    payload = serialize_manifest(replace(malicious, package="org.example.payload2"))
+    with pytest.raises(ContainerGoneError, match=f"container process {c.container_pid} is gone"):
+        first_run(os, c, world.probe_manifest.package, payload)
+    assert (c.run_log, os.shortcuts, set(os.processes)) == (log, shortcuts, pids)

@@ -1,8 +1,10 @@
 import json
+import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from appvirtsim.manifest import (
     ACTIVITY,
@@ -21,7 +23,9 @@ from appvirtsim.manifest import (
     serialize_manifest,
 )
 from appvirtsim import permissions as perms
-from appvirtsim.customization import check_catalog
+from appvirtsim.corpus import corpus_manifest
+from appvirtsim.customization import check_catalog, customize
+from appvirtsim.defaults import default_catalog, default_companion, default_template
 
 SAMPLE_PATH = Path(__file__).parent / "data" / "sample_victim.json"
 
@@ -106,6 +110,11 @@ def test_permissions_are_a_frozen_copy(victim):
     assert m.permissions == victim.permissions
     declared.add("android.permission.BOGUS")
     assert "android.permission.BOGUS" not in m.permissions
+
+
+def test_bool_version_rejected():
+    with pytest.raises(SchemaError, match="version must be an integer, not a bool"):
+        AppManifest(package="a.b", version=True)
 
 
 def test_permissions_empty_by_default():
@@ -223,3 +232,70 @@ def test_serialization_deterministic(victim):
     assert serialize_manifest(victim) == serialize_manifest(victim)
     again = parse_manifest(serialize_manifest(victim))
     assert serialize_manifest(again) == serialize_manifest(victim)
+
+
+# The reference layout of a manifest document: serialize_manifest must write
+# exactly json.dumps(manifest_to_dict(m), indent=2) plus a newline.
+def _component_to_dict(comp: Component) -> dict:
+    entry: dict = {"name": comp.name}
+    if comp.launcher:
+        entry["launcher"] = True
+    if comp.intents:
+        entry["intents"] = list(comp.intents)
+    if comp.requires_permissions:
+        entry["requires_permissions"] = sorted(comp.requires_permissions)
+    if comp.payload is not None:
+        entry["payload"] = comp.payload
+    if comp.stub:
+        entry["stub"] = True
+    return entry
+
+
+def manifest_to_dict(m: AppManifest) -> dict:
+    doc: dict = {
+        "package": m.package,
+        "label": m.label,
+        "version": m.version,
+        "permissions": sorted(m.permissions),
+        "features": sorted(m.features),
+        "components": {
+            key: [_component_to_dict(c) for c in getattr(m, key)]
+            for key in ("activities", "services", "receivers", "providers")
+        },
+        "resources": {"launcher_icon": m.launcher_icon},
+        "native_components": sorted(m.native_components),
+    }
+    if m.shortcut_icon is not None:
+        doc["resources"]["shortcut_icon"] = m.shortcut_icon
+    if m.shortcut_label is not None:
+        doc["resources"]["shortcut_label"] = m.shortcut_label
+    return doc
+
+
+def assert_serialized_like_json_dumps(m: AppManifest) -> None:
+    text = serialize_manifest(m)
+    assert text == json.dumps(manifest_to_dict(m), indent=2) + "\n"
+    assert parse_manifest(text) == m
+
+
+@settings(max_examples=200, deadline=None)
+@given(index=st.integers(0, 9999), seed=st.integers(0, 2**32 - 1), webview=st.booleans())
+def test_serialize_manifest_is_json_dumps_on_corpus_and_customized(index, seed, webview):
+    victim = corpus_manifest(index, random.Random(seed))
+    if webview:
+        victim = replace(victim, native_components=frozenset({"webview"}))
+    template, catalog = default_template(), default_catalog()
+    result = customize(victim, template, catalog)
+    for m in (victim, result.addon, result.malicious, template, catalog, default_companion()):
+        assert_serialized_like_json_dumps(m)
+
+
+@given(text=st.text(min_size=1, max_size=12), m=manifests())
+def test_serialize_manifest_escapes_like_json_dumps(text, m):
+    # Quotes, backslashes, control and non-ASCII characters in every free
+    # string field are escaped as json.dumps escapes them.
+    receiver = Component(name=text, kind=RECEIVER, intents=(text, "app.PING"))
+    assert_serialized_like_json_dumps(replace(
+        m, label=text, receivers=(receiver,), activities=(), services=(), providers=(),
+        launcher_icon=text, shortcut_icon=text, shortcut_label=text,
+        features=frozenset({text}), native_components=frozenset({text, "webview"})))

@@ -8,6 +8,7 @@ from dataclasses import fields, is_dataclass, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from appvirtsim import worlds
 from appvirtsim.container import (
     CLOAK_HOOK_LABELS,
     AlreadyLoadedError,
@@ -173,6 +174,27 @@ def test_matrix_leaves_each_world_unprobed(scenario):
         != world_state(WORLD_BUILDERS[report.environment](scenario))
     ]
     assert changed == []
+
+
+def test_matrix_seeds_one_device(scenario, monkeypatch):
+    # The data stores are seeded once per matrix; every environment is
+    # built on a fork of that one device.
+    seeded = []
+    real = worlds.seed_stores
+    monkeypatch.setattr(worlds, "seed_stores", lambda *args: seeded.append(args) or real(*args))
+    run_matrix(scenario)
+    assert len(seeded) == 1
+
+
+def test_one_environment_builds_one_world(scenario, monkeypatch):
+    # What ``run-matrix --mode native`` runs: only the native world is built.
+    built = []
+    for env, builder in list(WORLD_BUILDERS.items()):
+        monkeypatch.setitem(WORLD_BUILDERS, env, lambda sc, device=None, env=env, build=builder:
+                            built.append(env) or build(sc, device=device))
+    reports = run_matrix(scenario, (NATIVE_ENV,))
+    assert built == [NATIVE_ENV]
+    assert [r.environment for r in reports] == [NATIVE_ENV]
 
 
 def test_second_first_run_changes_nothing(worlds_by_env):
