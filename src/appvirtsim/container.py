@@ -22,10 +22,10 @@ background services advance only when tick_services is called.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 from .manifest import (
-    SERVICE,
     AppManifest,
     Component,
     ManifestError,
@@ -162,12 +162,6 @@ class ContainerState:
             hooks_by_target=dict(self.hooks_by_target),
         )
 
-    def pid_to_plugin(self, pid: int) -> str | None:
-        for package, plugin_pid in self.plugin_processes.items():
-            if plugin_pid == pid:
-                return package
-        return None
-
 
 def create_container(os: SimOs, addon: AppManifest) -> ContainerState:
     """Open an empty virtual environment inside an installed add-on."""
@@ -284,46 +278,46 @@ def _map_name_back(c: ContainerState, name: str) -> str:
     return assigned[2] if assigned is not None else name
 
 
-def _rewrite_reply(c: ContainerState, call: ApiCall, reply):
-    if call.kind == "get_running_services":
-        return [_map_name_back(c, name) for name in reply]
-    if call.kind in ("get_running_tasks", "get_recent_tasks"):
-        return [[kind, _map_name_back(c, name)] for kind, name in reply]
-    return reply
-
-
 def plugin_syscall(os: SimOs, c: ContainerState, caller: int, call: ApiCall):
     """Run one plugin call through hooks, baseline rewriting, and the OS."""
     if caller not in os.processes:  # a dead plugin may already be reaped
         raise PluginGoneError(f"{c.addon_package}: process {caller} is gone")
-    plugin_package = c.pid_to_plugin(caller)
-    if plugin_package is None:
+    for plugin_package, pid in c.plugin_processes.items():
+        if pid == caller:
+            break
+    else:
         raise NotAPluginError(f"pid {caller} is not a plugin process of {c.addon_package}")
 
-    on_target = c.hooks_by_target.get(call.kind, ())
+    on_target = c.hooks_by_target.get(call.kind)
     replacement = None
-    for hook in on_target:
-        if hook.mode == BEFORE:
-            call = hook.fn(call)
-        elif hook.mode == REPLACE and replacement is None:
-            replacement = hook
+    if on_target:
+        for hook in on_target:
+            if hook.mode == BEFORE:
+                call = hook.fn(call)
+            elif hook.mode == REPLACE and replacement is None:
+                replacement = hook
 
-    component_kind = LAUNCH_KINDS.get(call.kind)
+    kind = call.kind
     if replacement is not None:
         reply = replacement.fn(call)
-    elif call.kind == "get_application_info" and call.package in c.plugin_manifests:
+    elif kind == "get_application_info" and call.package in c.plugin_manifests:
         package = call.package
         reply = {"package": package, "source_dir": c.plugin_apk_paths[package],
                  "data_dir": c.plugin_data_dirs[package]}
-    elif component_kind is not None:  # launches go out under the stub name
-        wire_name = _map_component_out(c, plugin_package, component_kind, call.name or "")
+    elif kind in LAUNCH_KINDS:  # launches go out under the stub name
+        wire_name = _map_component_out(c, plugin_package, LAUNCH_KINDS[kind], call.name or "")
         reply = _map_name_back(c, os.syscall(caller, call._replace(name=wire_name)))
     else:
-        reply = _rewrite_reply(c, call, os.syscall(caller, call))
+        reply = os.syscall(caller, call)
+        if kind == "get_running_services":  # replies name components by their stub
+            reply = [_map_name_back(c, name) for name in reply]
+        elif kind in ("get_running_tasks", "get_recent_tasks"):
+            reply = [[task_kind, _map_name_back(c, name)] for task_kind, name in reply]
 
-    for hook in reversed(on_target):
-        if hook.mode == AFTER:
-            reply = hook.fn(call, reply)
+    if on_target:
+        for hook in reversed(on_target):
+            if hook.mode == AFTER:
+                reply = hook.fn(call, reply)
     return reply
 
 
@@ -451,6 +445,11 @@ def _reap_plugin(os: SimOs, c: ContainerState, package: str) -> None:
         c.foreground_plugin = None
 
 
+# One read call per payload tag's store; a hook that rewrites it returns a copy.
+_STORE_READS = {tag: ApiCall("access_resource", store=store)
+                for tag, store in PAYLOAD_STORES.items()}
+
+
 def tick_services(os: SimOs, c: ContainerState) -> None:
     """One synchronous sweep of every running payload service.
 
@@ -460,8 +459,8 @@ def tick_services(os: SimOs, c: ContainerState) -> None:
     the corresponding permission simply is not there. A plugin whose process
     was killed is reaped with a logged warning.
     """
+    sink = os.exfil_sink
     for package, pid in list(c.plugin_processes.items()):
-        manifest = c.plugin_manifests[package]
         proc = os.processes.get(pid)
         if proc is None:
             c.run_log.append({
@@ -470,18 +469,23 @@ def tick_services(os: SimOs, c: ContainerState) -> None:
             })
             _reap_plugin(os, c, package)
             continue
+        services = c.plugin_manifests[package].services
         for wire_name in proc.running_services:
-            service = manifest.component(SERVICE, _map_name_back(c, wire_name))
-            if service is None or service.payload is None:
+            name = _map_name_back(c, wire_name)
+            for service in services:
+                if service.name == name:
+                    break
+            else:
                 continue
-            store = PAYLOAD_STORES[service.payload]
+            tag = service.payload
+            if tag is None:
+                continue
             try:
-                records = plugin_syscall(os, c, pid, ApiCall("access_resource", store=store))
+                records = plugin_syscall(os, c, pid, _STORE_READS[tag])
             except ApiError as exc:
                 c.run_log.append({
                     "step": "warning",
-                    "detail": f"{service.name}: {store} read denied ({exc})",
+                    "detail": f"{service.name}: {PAYLOAD_STORES[tag]} read denied ({exc})",
                 })
                 continue
-            for record in records:
-                os.exfil_sink.append((service.payload, record))
+            sink.extend(zip(repeat(tag), records))

@@ -24,7 +24,10 @@ A manifest document is a strict JSON object describing a simulated app:
 
 Parsing is strict: unknown keys anywhere in the document are rejected so
 fixture typos fail loudly. Component names must be unique across all four
-kinds and at most one activity may carry the launcher flag.
+kinds and at most one activity may carry the launcher flag. The constructors
+enforce the parser's type rules: a string collection is never a bare string,
+and the version is an integer. A manifest built in code therefore survives
+serialize_manifest and parse_manifest unchanged.
 
 All types here are immutable; parsing and the extraction queries are pure
 functions, safe to call from any thread.
@@ -35,31 +38,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, fields
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _q
-
-__all__ = [
-    "ACTIVITY",
-    "SERVICE",
-    "RECEIVER",
-    "PROVIDER",
-    "COMPONENT_KINDS",
-    "KIND_KEYS",
-    "ManifestError",
-    "SchemaError",
-    "DuplicateComponentError",
-    "MultipleLauncherError",
-    "NoLauncherError",
-    "Component",
-    "AppManifest",
-    "parse_manifest",
-    "parse_manifest_dict",
-    "serialize_manifest",
-    "load_manifest_file",
-    "write_manifest_file",
-    "extract_components",
-    "extract_launcher_resources",
-    "launcher_activity",
-]
 
 ACTIVITY = "activity"
 SERVICE = "service"
@@ -102,7 +82,19 @@ class NoLauncherError(ManifestError):
     """The manifest declares no launcher activity."""
 
 
-@dataclass(frozen=True)
+def _string_collection(value, convert, owner: str, key: str):
+    """``value`` as a ``convert`` (tuple or frozenset) of strings; a bare
+    string, a non-collection or a non-string member is a SchemaError."""
+    try:
+        strings = None if isinstance(value, str) else convert(value)
+    except TypeError:
+        strings = None
+    if strings is None or not all(map(isinstance, strings, repeat(str))):
+        raise SchemaError(f"{owner}.{key}: expected a collection of strings, got {value!r}")
+    return strings
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class Component:
     """One declared app component.
 
@@ -119,30 +111,44 @@ class Component:
     payload: str | None = None
     stub: bool = False
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "intents", tuple(self.intents))
-        object.__setattr__(
-            self, "requires_permissions", frozenset(self.requires_permissions)
-        )
-        if not self.name:
+    def __init__(self, name, kind, launcher=False, intents=(), requires_permissions=frozenset(),
+                 payload=None, stub=False) -> None:
+        if intents or intents.__class__ is not tuple:  # () needs no conversion
+            intents = _string_collection(intents, tuple, name, "intents")
+        if requires_permissions or requires_permissions.__class__ is not frozenset:
+            requires_permissions = _string_collection(
+                requires_permissions, frozenset, name, "requires_permissions")
+        if not name:
             raise SchemaError("component name must be non-empty")
-        forbidden = _FORBIDDEN.get(self.kind)
+        forbidden = _FORBIDDEN.get(kind)
         if forbidden is None:
-            raise SchemaError(f"unknown component kind: {self.kind!r}")
-        for key, default in forbidden:
-            if getattr(self, key) != default:
-                raise SchemaError(f"{self.name}: {key} is not allowed for kind {self.kind}")
+            raise SchemaError(f"unknown component kind: {kind!r}")
+        values = (name, kind, launcher, intents, requires_permissions, payload, stub)
+        for i, key, default in forbidden:
+            if values[i] != default:
+                raise SchemaError(f"{name}: {key} is not allowed for kind {kind}")
+        (write_name, write_kind, write_launcher, write_intents, write_requires_permissions,
+         write_payload, write_stub) = _COMPONENT_SLOTS
+        write_name(self, name)
+        write_kind(self, kind)
+        write_launcher(self, launcher)
+        write_intents(self, intents)
+        write_requires_permissions(self, requires_permissions)
+        write_payload(self, payload)
+        write_stub(self, stub)
 
 
-# Per kind, each optional field it may not carry, with the default it must keep.
+# Each field's slot setter, in field order: a constructor writes each field once.
+_COMPONENT_SLOTS = tuple(getattr(Component, f.name).__set__ for f in fields(Component))
+# Per kind, each optional field it may not carry: position, name, required default.
 _FORBIDDEN = {
-    kind: tuple((f.name, f.default) for f in fields(Component)
+    kind: tuple((i, f.name, f.default) for i, f in enumerate(fields(Component))
                 if f.name not in ("name", "kind") and f.name not in allowed)
     for kind, allowed in _KIND_FIELDS.items()
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class AppManifest:
     """Validated, immutable description of a simulated app."""
 
@@ -160,42 +166,41 @@ class AppManifest:
     shortcut_label: str | None = None
     native_components: frozenset[str] = frozenset()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "permissions", frozenset(self.permissions))
-        object.__setattr__(self, "features", frozenset(self.features))
-        object.__setattr__(
-            self, "native_components", frozenset(self.native_components)
-        )
-        if not _PACKAGE_RE.match(self.package):
-            raise SchemaError(
-                f"package must be a reverse-DNS name, got {self.package!r}"
-            )
-        if not self.label:
-            object.__setattr__(self, "label", self.package)
-        if isinstance(self.version, bool):  # parse_manifest_dict refuses one too
-            raise SchemaError("version must be an integer, not a bool")
-        if self.version < 0:
+    def __init__(self, package, label="", version=0, permissions=frozenset(), features=frozenset(),
+                 activities=(), services=(), receivers=(), providers=(),
+                 launcher_icon="ic_launcher.png", shortcut_icon=None, shortcut_label=None,
+                 native_components=frozenset()) -> None:
+        permissions = _string_collection(permissions, frozenset, package, "permissions")
+        if features or features.__class__ is not frozenset:
+            features = _string_collection(features, frozenset, package, "features")
+        if native_components or native_components.__class__ is not frozenset:
+            native_components = _string_collection(
+                native_components, frozenset, package, "native_components")
+        if not isinstance(package, str) or not _PACKAGE_RE.match(package):
+            raise SchemaError(f"package must be a reverse-DNS name, got {package!r}")
+        if type(version) is not int:  # as parse_manifest_dict, refuse a bool, float or str
+            raise SchemaError(f"version must be an integer, not a {type(version).__name__}")
+        if version < 0:
             raise SchemaError("version must be >= 0")
-        for kind, key in KIND_KEYS.items():
-            comps = tuple(getattr(self, key))
-            object.__setattr__(self, key, comps)
-            for comp in comps:
-                if comp.kind != kind:
-                    raise SchemaError(
-                        f"{comp.name}: declared under {kind} but has kind {comp.kind}"
-                    )
-        seen: set[str] = set()
-        for comp in self.components():
-            if comp.name in seen:
-                raise DuplicateComponentError(
-                    f"duplicate component name: {comp.name!r}"
-                )
-            seen.add(comp.name)
-        launchers = [a for a in self.activities if a.launcher]
+        groups = activities, services, receivers, providers = (
+            tuple(activities), tuple(services), tuple(receivers), tuple(providers))
+        for kind, group in zip(COMPONENT_KINDS, groups):
+            for c in group:
+                if c.kind != kind:
+                    raise SchemaError(f"{c.name}: declared under {kind} but has kind {c.kind}")
+        names = [c.name for c in activities + services + receivers + providers]
+        if len(set(names)) != len(names):
+            duplicate = next(name for i, name in enumerate(names) if name in names[:i])
+            raise DuplicateComponentError(f"duplicate component name: {duplicate!r}")
+        launchers = [a for a in activities if a.launcher]
         if len(launchers) > 1:
             raise MultipleLauncherError(
-                f"{self.package}: {len(launchers)} launcher activities declared"
-            )
+                f"{package}: {len(launchers)} launcher activities declared")
+        for write, value in zip(_MANIFEST_SLOTS, (
+                package, label or package, version, permissions, features, activities, services,
+                receivers, providers, launcher_icon, shortcut_icon, shortcut_label,
+                native_components)):
+            write(self, value)
 
     def components(self) -> tuple[Component, ...]:
         """All components in canonical order: activities, services, receivers, providers."""
@@ -210,16 +215,24 @@ class AppManifest:
         return None
 
 
+_MANIFEST_SLOTS = tuple(getattr(AppManifest, f.name).__set__ for f in fields(AppManifest))
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 
 
-def _expect(doc: dict, context: str, allowed: set[str]) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise SchemaError(
-            f"{context}: unknown key(s) {sorted(unknown)!r}"
-        )
+# The keys each object of a document may carry.
+_MANIFEST_KEYS = frozenset({"package", "label", "version", "permissions", "features",
+                            "components", "resources", "native_components"})
+_COMPONENTS_KEYS = frozenset(KIND_KEYS.values())
+_RESOURCES_KEYS = frozenset({"launcher_icon", "shortcut_icon", "shortcut_label"})
+_ENTRY_KEYS = {kind: allowed | {"name"} for kind, allowed in _KIND_FIELDS.items()}
+
+
+def _expect(doc: dict, context: str, allowed: frozenset[str]) -> None:
+    if not doc.keys() <= allowed:
+        raise SchemaError(f"{context}: unknown key(s) {sorted(set(doc) - allowed)!r}")
 
 
 def _string(doc: dict, context: str, key: str, default=None, required=False):
@@ -233,9 +246,11 @@ def _string(doc: dict, context: str, key: str, default=None, required=False):
     return value
 
 
-def _string_list(doc: dict, context: str, key: str) -> list[str]:
-    value = doc.get(key, [])
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+def _string_list(doc: dict, context: str, key: str) -> list[str] | tuple[()]:
+    if key not in doc:
+        return ()
+    value = doc[key]
+    if not isinstance(value, list) or not all(map(isinstance, value, repeat(str))):
         raise SchemaError(f"{context}.{key}: expected list of strings")
     return value
 
@@ -243,38 +258,23 @@ def _string_list(doc: dict, context: str, key: str) -> list[str]:
 def _parse_component(entry: object, kind: str, context: str) -> Component:
     if not isinstance(entry, dict):
         raise SchemaError(f"{context}: expected object, got {type(entry).__name__}")
-    _expect(entry, context, _KIND_FIELDS[kind] | {"name"})
+    _expect(entry, context, _ENTRY_KEYS[kind])
     name = _string(entry, context, "name", required=True)
     launcher = entry.get("launcher", False)
     stub = entry.get("stub", False)
     if not isinstance(launcher, bool) or not isinstance(stub, bool):
         raise SchemaError(f"{context}.{name}: launcher/stub must be booleans")
-    return Component(
-        name=name, kind=kind, launcher=launcher, stub=stub,
-        payload=_string(entry, context, "payload"),
-        intents=_string_list(entry, context, "intents"),
-        requires_permissions=_string_list(entry, context, "requires_permissions"),
-    )
+    payload = _string(entry, context, "payload")
+    return Component(name, kind, launcher, _string_list(entry, context, "intents"),
+                     _string_list(entry, context, "requires_permissions") or frozenset(),
+                     payload, stub)
 
 
 def parse_manifest_dict(doc: object) -> AppManifest:
     """Validate an already-decoded document into an AppManifest."""
     if not isinstance(doc, dict):
         raise SchemaError(f"manifest: expected object, got {type(doc).__name__}")
-    _expect(
-        doc,
-        "manifest",
-        {
-            "package",
-            "label",
-            "version",
-            "permissions",
-            "features",
-            "components",
-            "resources",
-            "native_components",
-        },
-    )
+    _expect(doc, "manifest", _MANIFEST_KEYS)
     package = _string(doc, "manifest", "package", required=True)
     version = doc.get("version", 0)
     if not isinstance(version, int) or isinstance(version, bool):
@@ -283,33 +283,28 @@ def parse_manifest_dict(doc: object) -> AppManifest:
     components = doc.get("components", {})
     if not isinstance(components, dict):
         raise SchemaError("manifest.components: expected object")
-    _expect(components, "components", set(KIND_KEYS.values()))
-    parsed: dict[str, list[Component]] = {}
+    _expect(components, "components", _COMPONENTS_KEYS)
+    parsed = []
     for kind, key in KIND_KEYS.items():
         entries = components.get(key, [])
         if not isinstance(entries, list):
             raise SchemaError(f"components.{key}: expected list")
-        parsed[key] = [
-            _parse_component(e, kind, f"components.{key}") for e in entries
-        ]
+        context = f"components.{key}"
+        parsed.append([_parse_component(e, kind, context) for e in entries])
 
     resources = doc.get("resources", {})
     if not isinstance(resources, dict):
         raise SchemaError("manifest.resources: expected object")
-    _expect(resources, "resources", {"launcher_icon", "shortcut_icon", "shortcut_label"})
+    _expect(resources, "resources", _RESOURCES_KEYS)
 
     return AppManifest(
-        package=package,
-        label=_string(doc, "manifest", "label", default=""),
-        version=version,
-        permissions=frozenset(_string_list(doc, "manifest", "permissions")),
-        features=frozenset(_string_list(doc, "manifest", "features")),
-        **parsed,
-        launcher_icon=_string(resources, "resources", "launcher_icon", default="ic_launcher.png"),
-        shortcut_icon=_string(resources, "resources", "shortcut_icon"),
-        shortcut_label=_string(resources, "resources", "shortcut_label"),
-        native_components=frozenset(_string_list(doc, "manifest", "native_components")),
-    )
+        package, _string(doc, "manifest", "label", default=""), version,
+        _string_list(doc, "manifest", "permissions"),
+        _string_list(doc, "manifest", "features") or frozenset(),
+        *parsed, _string(resources, "resources", "launcher_icon", default="ic_launcher.png"),
+        _string(resources, "resources", "shortcut_icon"),
+        _string(resources, "resources", "shortcut_label"),
+        _string_list(doc, "manifest", "native_components") or frozenset())
 
 
 def parse_manifest(text: str) -> AppManifest:

@@ -448,6 +448,29 @@ def test_tick_services_exfiltrates_under_shared_uid(victim, template, catalog):
     assert len([r for t, r in os.exfil_sink if t == "sms"]) == 2
 
 
+def test_tick_services_appends_each_services_records_in_order():
+    # Each sweep of the default cloaked world appends, service by service in
+    # the order first_run started them, a (payload tag, record) pair for every
+    # record of the store that service may read, as seed_stores filled it.
+    sc = default_scenario()
+    world = build_cloaked_world(sc)
+    stores = SimOs()
+    seed_stores(stores, sc.store_counts, sc.seed)
+    granted = world.customization.addon.permissions
+    expected = [
+        (svc.payload, record)
+        for svc in world.customization.malicious.services
+        if perms.STORE_GUARDS[perms.PAYLOAD_STORES[svc.payload]] in granted
+        for record in stores.data_stores[perms.PAYLOAD_STORES[svc.payload]]
+    ]
+    assert [tag for tag, _ in expected] == ["contacts"] * 3 + ["sms"] * 2
+    sink = world.os.exfil_sink
+    for _ in range(3):
+        before = len(sink)
+        tick_services(world.os, world.container)
+        assert sink[before:] == expected
+
+
 def test_tick_services_runs_a_payload_service_started_under_a_stub(
         victim, template, catalog):
     # The uncustomized template declares no payload service, so the first

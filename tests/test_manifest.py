@@ -1,6 +1,7 @@
 import json
 import random
-from dataclasses import replace
+import re
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -76,18 +77,72 @@ def test_multiple_launchers_rejected():
         parse_manifest(text)
 
 
-@pytest.mark.parametrize("doc", [
-    {"package": "a.b", "banana": 1},
-    {"package": "a.b", "components": {"widgets": []}},
-    {"package": "a.b", "components": {"activities": [{"name": ".A", "payload": "x"}]}},
-    {"package": "a.b", "resources": {"splash": "x.png"}},
-    {"package": "a.b", "version": "seven"},
-    {"label": "no package"},
-    {"package": "NotReverseDns"},
-])
-def test_strict_schema_rejects(doc):
-    with pytest.raises(SchemaError):
+# Each refused document with the exact message it gets.
+REJECTED_DOCUMENTS = [
+    ({"package": "a.b", "banana": 1}, "manifest: unknown key(s) ['banana']"),
+    ({"package": "a.b", "components": {"widgets": []}}, "components: unknown key(s) ['widgets']"),
+    ({"package": "a.b", "components": {"activities": [{"name": ".A", "payload": "x"}]}},
+     "components.activities: unknown key(s) ['payload']"),
+    ({"package": "a.b", "resources": {"splash": "x.png"}}, "resources: unknown key(s) ['splash']"),
+    ({"package": "a.b", "version": "seven"}, "manifest.version: expected integer"),
+    ({"label": "no package"}, "manifest: missing required field 'package'"),
+    ({"package": "NotReverseDns"}, "package must be a reverse-DNS name, got 'NotReverseDns'"),
+    ({"package": "a.b", "permissions": "android.permission.INTERNET"},
+     "manifest.permissions: expected list of strings"),
+    ({"package": "a.b", "components": []}, "manifest.components: expected object"),
+    ({"package": "a.b", "components": {"activities": [{"name": ".A", "launcher": 1}]}},
+     "components.activities..A: launcher/stub must be booleans"),
+]
+
+
+@pytest.mark.parametrize("doc, message", REJECTED_DOCUMENTS,
+                         ids=[f"doc{i}" for i in range(len(REJECTED_DOCUMENTS))])
+def test_strict_schema_rejects(doc, message):
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
         parse_manifest(json.dumps(doc))
+
+
+# Values parse_manifest refuses, built in code; each was accepted, split into
+# characters or raised a TypeError before the constructors checked types.
+@pytest.mark.parametrize("build", [
+    lambda: Component(name=".R", kind=RECEIVER, intents="org.X"),
+    lambda: Component(name=".R", kind=RECEIVER, intents=["org.X", 7]),
+    lambda: Component(name=".S", kind=SERVICE, requires_permissions=perms.INTERNET),
+    lambda: AppManifest(package="a.b", permissions=perms.INTERNET),
+    lambda: AppManifest(package="a.b", features="android.hardware.camera"),
+    lambda: AppManifest(package="a.b", native_components="webview"),
+    lambda: AppManifest(package="a.b", version=1.5),
+    lambda: AppManifest(package="a.b", version="3"),
+], ids=["bare-intents", "int-intent", "bare-requires-permissions", "bare-permissions",
+        "bare-features", "bare-native-components", "float-version", "str-version"])
+def test_constructors_refuse_what_the_parser_refuses(build):
+    with pytest.raises(SchemaError):
+        build()
+
+
+def test_every_field_is_frozen(victim):
+    for value in (victim, victim.activities[0], victim.receivers[0]):
+        for f in fields(value):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+
+
+@pytest.mark.parametrize("change, error, message", [
+    (lambda m: replace(m, package="NotReverseDns"), SchemaError,
+     "package must be a reverse-DNS name, got 'NotReverseDns'"),
+    (lambda m: replace(m, providers=(Component(name=".SyncService", kind=PROVIDER),)),
+     DuplicateComponentError, "duplicate component name: '.SyncService'"),
+    (lambda m: replace(m, receivers=(Component(name=".Boot", kind=ACTIVITY),)), SchemaError,
+     ".Boot: declared under receiver but has kind activity"),
+    (lambda m: replace(m, activities=m.activities + (
+        Component(name=".Second", kind=ACTIVITY, launcher=True),)),
+     MultipleLauncherError, "org.victim.app: 2 launcher activities declared"),
+    (lambda m: replace(m.activities[0], intents=("app.PING",)), SchemaError,
+     ".MainActivity: intents is not allowed for kind activity"),
+])
+def test_replace_runs_every_check(victim, change, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        change(victim)
 
 
 def test_kind_specific_fields_enforced():

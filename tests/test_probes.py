@@ -11,6 +11,10 @@ from hypothesis import given, settings, strategies as st
 from appvirtsim import worlds
 from appvirtsim.container import (
     CLOAK_HOOK_LABELS,
+    HOOK_DATA_DIR,
+    HOOK_EXEC_PS,
+    HOOK_PROC_MAPS,
+    HOOK_PROCESS_NAMES,
     AlreadyLoadedError,
     HookSpec,
     first_run,
@@ -390,6 +394,37 @@ def test_matrix_laws_over_corpus_victims(index, seed, webview):
     detected = {p for p, verdict in naive.items() if verdict == "virtual_detected"}
     assert NAIVE_DETECTS <= detected, naive
     assert ("17" in detected) == webview
+
+
+# The cells each bypass hook keeps clean, the same for every victim.
+HOOK_FLIPS = {
+    HOOK_PROCESS_NAMES: {"7"},
+    HOOK_EXEC_PS: {"8"},
+    HOOK_DATA_DIR: {"9"},
+    HOOK_PROC_MAPS: {"11", "12"},
+}
+
+
+def test_per_hook_flip_law_over_corpus_victims():
+    # Dropping one hook flips exactly its cells; dropping all four flips
+    # exactly their union. Sixty victims, every second one with webview.
+    rng = random.Random(23)
+    template, catalog, companion = default_template(), default_catalog(), default_companion()
+    for index in range(60):
+        victim = corpus_manifest(index, rng)
+        if index % 2:
+            victim = replace(victim, native_components=frozenset({"webview"}))
+        scenario = MatrixScenario(victim, template, catalog, companion, seed=index)
+        hooked = run_probes_on_world(build_cloaked_world(scenario)).verdicts()
+
+        def flipped(dropped):
+            world = build_cloaked_world(scenario, drop_hook_labels=dropped)
+            verdicts = run_probes_on_world(world).verdicts()
+            return {p for p in PROBE_IDS if verdicts[p] != hooked[p]}
+
+        for label, cells in HOOK_FLIPS.items():
+            assert flipped((label,)) == cells, (victim.package, label)
+        assert flipped(CLOAK_HOOK_LABELS) == set().union(*HOOK_FLIPS.values()), victim.package
 
 
 HANDLE_SURFACE = {"call", "declared", "own_package", "runtime"}
