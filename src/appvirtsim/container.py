@@ -184,6 +184,12 @@ def create_container(os: SimOs, addon: AppManifest) -> ContainerState:
     )
 
 
+def _require_container(os: SimOs, c: ContainerState) -> None:
+    """The one rule for a dead container: nothing more runs in it."""
+    if c.container_pid not in os.processes:
+        raise ContainerGoneError(f"{c.addon_package}: container process {c.container_pid} is gone")
+
+
 def load_plugin(os: SimOs, c: ContainerState, plugin: AppManifest) -> int:
     """Fork a shared-UID process for a plugin and wire it into the environment.
 
@@ -194,8 +200,10 @@ def load_plugin(os: SimOs, c: ContainerState, plugin: AppManifest) -> int:
     queries for the plugin report both. The plugin itself is not installed:
     its receivers are registered dynamically, and its launcher activity
     (when present) is opened through the dispatch pipeline, taking
-    foreground from any previously loaded plugin.
+    foreground from any previously loaded plugin. A dead container process
+    loads nothing: the ContainerGoneError comes before any spawn.
     """
+    _require_container(os, c)
     if plugin.package in c.plugin_manifests:
         raise AlreadyLoadedError(f"{plugin.package} is already loaded")
     data_dir = f"{c.plugin_data_root}/{plugin.package}"
@@ -373,8 +381,7 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
     (empty or malformed document) or an AlreadyLoadedError leaves the
     environment as it was.
     """
-    if c.container_pid not in os.processes:
-        raise ContainerGoneError(f"{c.addon_package}: container process {c.container_pid} is gone")
+    _require_container(os, c)
     victim_record = os.registry.get(victim_package)
     if victim_record is None:
         raise UnknownPackageError(f"victim {victim_package} is not installed")

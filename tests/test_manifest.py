@@ -113,8 +113,18 @@ def test_strict_schema_rejects(doc, message):
     lambda: AppManifest(package="a.b", native_components="webview"),
     lambda: AppManifest(package="a.b", version=1.5),
     lambda: AppManifest(package="a.b", version="3"),
+    lambda: AppManifest("a.b", label=5),
+    lambda: AppManifest("a.b", launcher_icon=5),
+    lambda: AppManifest("a.b", shortcut_icon=5),
+    lambda: AppManifest("a.b", shortcut_label=[]),
+    lambda: Component(5, SERVICE),
+    lambda: Component(".S", SERVICE, payload=5),
+    lambda: Component(".A", ACTIVITY, stub="yes"),
+    lambda: Component(".A", ACTIVITY, launcher=1),
 ], ids=["bare-intents", "int-intent", "bare-requires-permissions", "bare-permissions",
-        "bare-features", "bare-native-components", "float-version", "str-version"])
+        "bare-features", "bare-native-components", "float-version", "str-version",
+        "int-label", "int-launcher-icon", "int-shortcut-icon", "list-shortcut-label",
+        "int-name", "int-payload", "str-stub", "int-launcher"])
 def test_constructors_refuse_what_the_parser_refuses(build):
     with pytest.raises(SchemaError):
         build()
@@ -273,6 +283,28 @@ def manifests(draw):
 
 @given(manifests())
 def test_round_trip(m):
+    assert parse_manifest(serialize_manifest(m)) == m
+
+
+# Values of every type a caller might pass for a scalar field; a constructor
+# either refuses one with a SchemaError or builds a manifest that round-trips.
+_SCALAR_DEFAULTS = {"label": "App", "launcher_icon": "ic.png", "shortcut_icon": None,
+                    "shortcut_label": None, "name": ".C", "payload": None,
+                    "launcher": False, "stub": False}
+_scalars = st.sampled_from([None, "", "x", 0, 5, 1.5, True, False, [], ("x",)])
+
+
+@given(kind=st.sampled_from([ACTIVITY, SERVICE]),
+       values=st.dictionaries(st.sampled_from(sorted(_SCALAR_DEFAULTS)), _scalars, max_size=2))
+def test_round_trip_is_total_over_scalar_fields(kind, values):
+    fields = {**_SCALAR_DEFAULTS, **values}
+    component = {key: fields.pop(key) for key in ("name", "payload", "launcher", "stub")}
+    try:
+        comp = Component(kind=kind, **component)
+        m = AppManifest("a.b", **{"activities" if kind == ACTIVITY else "services": (comp,)},
+                        **fields)
+    except SchemaError:
+        return
     assert parse_manifest(serialize_manifest(m)) == m
 
 
