@@ -126,23 +126,30 @@ class ContainerState:
     plugin_processes: dict[str, int] = field(default_factory=dict)
     plugin_apk_paths: dict[str, str] = field(default_factory=dict)
     plugin_data_dirs: dict[str, str] = field(default_factory=dict)
-    # stub name -> (plugin package, kind, real name), and the inverse
+    # The one stub store, stub -> (plugin package, kind, real name); view: component_stub_map.
     stub_assignments: dict[str, tuple[str, str, str]] = field(default_factory=dict)
-    component_stub_map: dict[tuple[str, str, str], str] = field(default_factory=dict)
     foreground_plugin: str | None = None
     # Plugins ever loaded; numbers process names, which a reap never frees.
     plugin_loads: int = 0
-    # Dispatch order: lowlevel before proxy, each layer in installation order.
-    hooks: tuple[HookSpec, ...] = ()
     run_log: list[dict] = field(default_factory=list)
-    # ``hooks`` grouped by target, in dispatch order; set with ``hooks``.
+    # The one hook store: target -> hooks in dispatch order (install_hook); view: hooks.
     hooks_by_target: dict[str, tuple[HookSpec, ...]] = field(default_factory=dict)
 
+    @property
+    def hooks(self) -> tuple[HookSpec, ...]:
+        """Read-only view of ``hooks_by_target``: target by target, each in dispatch order."""
+        return tuple(h for group in self.hooks_by_target.values() for h in group)
+
+    @property
+    def component_stub_map(self) -> dict[tuple[str, str, str], str]:
+        """Read-only view: ``stub_assignments`` inverted, component -> stub name."""
+        return {key: stub for stub, key in self.stub_assignments.items()}
+
     def fork(self) -> ContainerState:
-        """An independent copy of the environment's bookkeeping: the dicts and
-        the run log are copied shallowly. Frozen manifests and stubs, run-log
-        entries (never changed once appended) and the ``hooks`` tuples (rebound,
-        never mutated, by install and uninstall) are shared."""
+        """An independent copy: the six dicts (the two stores among them) and the
+        run log are copied shallowly, and the views derive from the copies.
+        Frozen manifests and stubs, run-log entries (never changed once appended)
+        and hook groups (tuples that install and uninstall rebind) are shared."""
         return ContainerState(
             addon_package=self.addon_package,
             addon_manifest=self.addon_manifest,
@@ -154,10 +161,8 @@ class ContainerState:
             plugin_apk_paths=dict(self.plugin_apk_paths),
             plugin_data_dirs=dict(self.plugin_data_dirs),
             stub_assignments=dict(self.stub_assignments),
-            component_stub_map=dict(self.component_stub_map),
             foreground_plugin=self.foreground_plugin,
             plugin_loads=self.plugin_loads,
-            hooks=self.hooks,
             run_log=list(self.run_log),
             hooks_by_target=dict(self.hooks_by_target),
         )
@@ -234,26 +239,21 @@ def load_plugin(os: SimOs, c: ContainerState, plugin: AppManifest) -> int:
     return pid
 
 
-def _set_hooks(c: ContainerState, hooks: tuple[HookSpec, ...]) -> None:
-    by_target: dict[str, tuple[HookSpec, ...]] = {}
-    for h in hooks:
-        by_target[h.target] = by_target.get(h.target, ()) + (h,)
-    c.hooks, c.hooks_by_target = hooks, by_target
-
-
 def install_hook(c: ContainerState, h: HookSpec) -> None:
-    """Add after the layer's last hook; duplicates compose, nothing deduplicates."""
-    at = sum(x.layer == LOWLEVEL for x in c.hooks) if h.layer == LOWLEVEL else len(c.hooks)
-    _set_hooks(c, c.hooks[:at] + (h,) + c.hooks[at:])
+    """Add ``h`` to its target's group in ``hooks_by_target``: a lowlevel hook after
+    the group's last lowlevel hook, a proxy hook at the end. Duplicates compose."""
+    group = c.hooks_by_target.get(h.target, ())
+    at = sum(x.layer == LOWLEVEL for x in group) if h.layer == LOWLEVEL else len(group)
+    c.hooks_by_target[h.target] = group[:at] + (h,) + group[at:]
 
 
 def uninstall_hooks(c: ContainerState, labels) -> int:
-    """Drop every installed hook whose label is in ``labels``; returns count removed."""
-    wanted = set(labels)
-    kept = tuple(h for h in c.hooks if h.label not in wanted)
-    removed = len(c.hooks) - len(kept)
-    _set_hooks(c, kept)
-    return removed
+    """Drop every hook whose label is in ``labels`` from its group in
+    ``hooks_by_target``, and every emptied group; returns the count removed."""
+    wanted, before = set(labels), len(c.hooks)
+    c.hooks_by_target = {target: kept for target, group in c.hooks_by_target.items()
+                         if (kept := tuple(h for h in group if h.label not in wanted))}
+    return before - len(c.hooks)
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +267,14 @@ def _map_component_out(c: ContainerState, plugin_package: str, kind: str,
     if declared is not None and not declared.stub:
         return name
     key = (plugin_package, kind, name)
-    assigned = c.component_stub_map.get(key)
-    if assigned is not None:
-        return assigned
-    taken = set(c.stub_assignments)
+    for stub_name, assigned in c.stub_assignments.items():
+        if assigned == key:
+            return stub_name
     for stub in c.stub_components:
-        if stub.kind == kind and stub.name not in taken:
+        if stub.kind == kind and stub.name not in c.stub_assignments:
             c.stub_assignments[stub.name] = key
-            c.component_stub_map[key] = stub.name
             return stub.name
-    raise NoFreeStubError(
-        f"no free {kind} stub left for {plugin_package}/{name}"
-    )
+    raise NoFreeStubError(f"no free {kind} stub left for {plugin_package}/{name}")
 
 
 def _map_name_back(c: ContainerState, name: str) -> str:
@@ -377,9 +373,9 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
     plugin. ``load_plugin`` places each: the payload's code under the plugin
     root, the victim's at its installed APK. Before the first system call
     the container process must be alive, the document is parsed, and neither
-    package may be loaded yet: a ContainerGoneError, a CatalogFetchError
-    (empty or malformed document) or an AlreadyLoadedError leaves the
-    environment as it was.
+    package may be loaded yet: a ContainerGoneError, a CatalogFetchError (an
+    empty or malformed document, one naming the victim, or a payload tag with
+    no store) or an AlreadyLoadedError leaves the environment as it was.
     """
     _require_container(os, c)
     victim_record = os.registry.get(victim_package)
@@ -389,6 +385,11 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
         malicious = parse_manifest(payload_document)
     except ManifestError as exc:
         raise CatalogFetchError(f"cannot fetch the payload manifest: {exc}") from exc
+    if malicious.package == victim_package:
+        raise CatalogFetchError(f"the payload manifest names the victim {victim_package}")
+    for svc in malicious.services:
+        if svc.payload is not None and svc.payload not in PAYLOAD_STORES:
+            raise CatalogFetchError(f"{svc.name}: unknown payload tag {svc.payload!r}")
     for package in (malicious.package, victim_package):
         if package in c.plugin_manifests:
             raise AlreadyLoadedError(f"{package} is already loaded")
@@ -441,8 +442,8 @@ def _reap_plugin(os: SimOs, c: ContainerState, package: str) -> None:
     manifest = c.plugin_manifests.pop(package)
     for table in (c.plugin_processes, c.plugin_apk_paths, c.plugin_data_dirs):
         del table[package]
-    for key in [k for k in c.component_stub_map if k[0] == package]:
-        del c.stub_assignments[c.component_stub_map.pop(key)]
+    for stub_name in [s for s, key in c.stub_assignments.items() if key[0] == package]:
+        del c.stub_assignments[stub_name]
     uid = os.registry[c.addon_package].uid
     kept = {r.name for m in c.plugin_manifests.values() for r in m.receivers}
     for receiver in manifest.receivers:

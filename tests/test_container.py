@@ -1,12 +1,14 @@
+import functools
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from appvirtsim import permissions as perms
 from appvirtsim.container import (
     AFTER,
     BEFORE,
+    CLOAK_HOOK_LABELS,
     LAYERS,
     MODES,
     REPLACE,
@@ -38,6 +40,8 @@ from appvirtsim.manifest import (
     serialize_manifest,
 )
 from appvirtsim.simos import (
+    API_KINDS,
+    LAUNCH_KINDS,
     AccessDeniedError,
     ApiCall,
     ApiError,
@@ -45,11 +49,14 @@ from appvirtsim.simos import (
     UnknownPackageError,
 )
 from appvirtsim.worlds import (
+    ENVIRONMENTS,
+    WORLD_BUILDERS,
     build_cloaked_world,
     default_scenario,
     launch_native,
     seed_stores,
 )
+from reference_dispatch import reference_world, shared_tables
 
 
 @pytest.fixture
@@ -752,3 +759,166 @@ def test_load_plugin_in_a_dead_container_is_a_typed_error(companion):
     with pytest.raises(ContainerGoneError, match=f"container process {c.container_pid} is gone"):
         load_plugin(os, c, companion)
     assert (os.next_pid, os.processes, c.plugin_processes) == (next_pid, processes, plugins)
+
+
+def world_signature(os, c) -> dict:
+    """The state a call, a hook change or a sweep may change, the stores included."""
+    signature = shared_tables(os, c)
+    if c is not None:
+        signature.update(stubs=c.stub_assignments, hooks={
+            target: [(h.label, h.layer, h.mode) for h in group]
+            for target, group in c.hooks_by_target.items()})
+    return signature
+
+
+def test_first_run_refuses_a_payload_naming_the_victim(victim, template, catalog):
+    os, c, result, _ = build_attack_world(victim, template, catalog)
+    before = world_signature(os.fork(), c.fork())
+    payload = serialize_manifest(replace(result.malicious, package=victim.package))
+    with pytest.raises(CatalogFetchError, match="names the victim"):
+        first_run(os, c, victim.package, payload)
+    assert world_signature(os, c) == before
+
+
+def test_first_run_refuses_a_payload_tag_with_no_store(victim, template, catalog):
+    # A tag outside PAYLOAD_STORES would start, then fail the first sweep.
+    os, c, result, _ = build_attack_world(victim, template, catalog)
+    before = world_signature(os.fork(), c.fork())
+    services = (replace(result.malicious.services[0], payload="calendar"),)
+    payload = serialize_manifest(replace(result.malicious, services=services))
+    with pytest.raises(CatalogFetchError, match="unknown payload tag 'calendar'"):
+        first_run(os, c, victim.package, payload)
+    assert world_signature(os, c) == before
+
+
+# ---------------------------------------------------------------------------
+# Dispatch against the slow reference
+
+
+@functools.cache
+def _dispatch_worlds() -> dict:
+    """Each environment built twice: by the container, and with the reference
+    answering every dispatch and hook change the build makes."""
+    sc = default_scenario()
+    return {env: (build(sc), reference_world(build, sc)) for env, build in WORLD_BUILDERS.items()}
+
+
+@functools.cache
+def _call_values() -> dict:
+    """Argument values for drawn calls, from every manifest of the three worlds."""
+    manifests = set()
+    for real, _ in _dispatch_worlds().values():
+        manifests.update(r.manifest for r in real.os.registry.values())
+        if real.container is not None:
+            manifests.update(real.container.plugin_manifests.values())
+    components = [comp for m in manifests for comp in m.components()]
+    return {
+        "package": sorted({m.package for m in manifests} | {"no.such.app"}),
+        "name": sorted({comp.name for comp in components} | {"webview", ".Nope"}),
+        "action": sorted({i for comp in components for i in comp.intents} | {"act.none"}),
+        "permission": sorted({p for m in manifests for p in m.permissions}),
+        "store": sorted(set(perms.PAYLOAD_STORES.values()) | {"calendar"}),
+        "cmd": ["ps", "ls", "rm"],
+        "component_kind": sorted({comp.kind for comp in components}),
+        "token": ["t"],
+    }
+
+
+@functools.cache
+def _call_fields():
+    return st.fixed_dictionaries({key: st.none() | st.sampled_from(values)
+                                  for key, values in _call_values().items()})
+
+
+def _test_hook(layer: str, target: str, mode: str, raises: bool, label: str) -> HookSpec:
+    """A hook whose effect shows in the reply: it tags the call or the reply, or fails."""
+    if raises:
+        def fn(call, *reply):
+            raise AccessDeniedError(f"{label}: {layer} {mode} hook refuses {call.kind}")
+    elif mode == BEFORE:
+        def fn(call):
+            return call._replace(token=f"{call.token or ''}>{label}")
+    elif mode == AFTER:
+        def fn(call, reply):
+            return [label, call.token, reply]
+    else:
+        def fn(call):
+            return [label, "replaced", call.token]
+    return HookSpec(layer, target, mode, fn, label)
+
+
+def _outcome(world, dispatch, caller: int, call: ApiCall):
+    try:
+        if world.container is None:
+            return "reply", world.os.syscall(caller, call)
+        return "reply", dispatch(world.os, world.container, caller, call)
+    except ApiError as exc:
+        return "error", type(exc), str(exc)
+
+
+def _assert_same(real, ref_world, ref) -> None:
+    expected = shared_tables(ref_world.os, ref_world.container)
+    if ref_world.container is not None:
+        expected.update(ref.stores())
+    assert world_signature(real.os, real.container) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_dispatch_answers_to_the_reference(data):
+    # Hooks over every layer, mode and target, installed and uninstalled in any
+    # order; calls of every kind (the probe kinds and launches among them) from
+    # any plugin; kills, sweeps and forks. The container and the reference give
+    # equal replies or the same ApiError, and leave equal worlds, forked parents
+    # included.
+    real_built, (ref_built, ref_seed) = _dispatch_worlds()[data.draw(st.sampled_from(ENVIRONMENTS))]
+    real, ref_world, ref = real_built.fork(), ref_built.fork(), ref_seed.fork()
+    # A few kinds and launched names per example, so that hooks and calls meet
+    # and a component is launched again.
+    kinds = data.draw(st.lists(st.sampled_from(sorted(API_KINDS)), min_size=1, max_size=3,
+                               unique=True))
+    launched = data.draw(st.lists(st.sampled_from(_call_values()["name"]), min_size=1,
+                                  max_size=3, unique=True))
+    hooks = st.builds(_test_hook, st.sampled_from(LAYERS), st.sampled_from(kinds),
+                      st.sampled_from(MODES), st.sampled_from((False, False, True)),
+                      st.sampled_from(_HOOK_LABELS))
+    parents = []
+    _assert_same(real, ref_world, ref)
+    for _ in range(data.draw(st.integers(0, 30))):
+        op = data.draw(st.sampled_from(("call", "call", "launch", "observe", "install",
+                                        "install", "uninstall", "kill", "tick", "fork")))
+        c = real.container
+        if op in ("call", "launch", "observe", "kill"):
+            caller = data.draw(st.sampled_from(
+                [real.probe_pid, *(sorted(c.plugin_processes.values()) if c else ())]))
+            if op == "call":
+                call = ApiCall(data.draw(st.sampled_from(kinds)), **data.draw(_call_fields()))
+            elif op == "launch":
+                call = ApiCall(data.draw(st.sampled_from(sorted(LAUNCH_KINDS))),
+                               name=data.draw(st.sampled_from(launched)))
+            elif op == "observe":  # the replies that name components
+                call = ApiCall(data.draw(st.sampled_from(
+                    ("get_running_services", "get_running_tasks", "get_recent_tasks"))))
+            else:  # by the add-on's package, every other plugin process dies
+                call = ApiCall("kill_background_processes",
+                               package=c.addon_package if c else real.probe_manifest.package)
+            assert (_outcome(real, plugin_syscall, caller, call)
+                    == _outcome(ref_world, ref.plugin_syscall, caller, call))
+        elif op == "fork":
+            parents.append((real, ref_world, ref))
+            real, ref_world, ref = real.fork(), ref_world.fork(), ref.fork()
+        elif c is None:
+            continue
+        elif op == "install":
+            hook = data.draw(hooks)
+            install_hook(c, hook)
+            ref.install_hook(ref_world.container, hook)
+        elif op == "uninstall":
+            dropped = data.draw(st.frozensets(st.sampled_from(_HOOK_LABELS + CLOAK_HOOK_LABELS)))
+            assert uninstall_hooks(c, dropped) == ref.uninstall_hooks(ref_world.container, dropped)
+        else:
+            tick_services(real.os, c)
+            ref.tick_services(ref_world.os, ref_world.container)
+        _assert_same(real, ref_world, ref)
+    for parent in parents:
+        _assert_same(*parent)
