@@ -831,13 +831,25 @@ def _call_fields():
 
 
 def _test_hook(layer: str, target: str, mode: str, raises: bool, label: str) -> HookSpec:
-    """A hook whose effect shows in the reply: it tags the call or the reply, or fails."""
+    """A hook whose effect shows in the reply: it tags the call or the reply, or fails.
+
+    On the two targets whose cloaking hooks read records, and run after any
+    hook installed later, a reply keeps its shape: application info stays a
+    dict with a package, the process list a list of process records."""
     if raises:
         def fn(call, *reply):
             raise AccessDeniedError(f"{label}: {layer} {mode} hook refuses {call.kind}")
     elif mode == BEFORE:
         def fn(call):
             return call._replace(token=f"{call.token or ''}>{label}")
+    elif target == "get_application_info":
+        def fn(call, *reply):
+            info = reply[0] if reply else {"package": label}
+            return dict(info, tags=[*info.get("tags", ()), (label, mode, call.token)])
+    elif target == "get_running_app_processes":
+        def fn(call, *reply):
+            return [*(reply[0] if reply else ()),
+                    {"name": label, "mode": mode, "token": call.token}]
     elif mode == AFTER:
         def fn(call, reply):
             return [label, call.token, reply]
