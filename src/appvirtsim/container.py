@@ -12,8 +12,10 @@ Baseline rewriting is the virtualization mechanic itself: component launch
 requests carry a pre-declared stub name on the wire (or the component's own
 name when the add-on manifest declares it verbatim), replies are rewritten
 back, and application-info queries for a loaded plugin report the plugin's
-private directory under the add-on. Hooks layer attack/bypass behavior on
-top of that baseline.
+private directory under the add-on. A launch of a component the plugin's
+own manifest does not declare takes no stub: it is a
+ComponentNotRegisteredError, as it is natively. Hooks layer attack/bypass
+behavior on top of that baseline.
 
 All mutation happens through the owning scenario thread; simulated
 background services advance only when tick_services is called.
@@ -25,13 +27,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable
 
-from .manifest import (
-    AppManifest,
-    Component,
-    ManifestError,
-    launcher_activity,
-    parse_manifest,
-)
+from .manifest import AppManifest, Component, launcher_activity
 from .permissions import PAYLOAD_STORES
 from .simos import (
     API_KINDS,
@@ -39,6 +35,7 @@ from .simos import (
     AccessDeniedError,
     ApiCall,
     ApiError,
+    ComponentNotRegisteredError,
     SimOs,
     SimOsError,
     UnknownPackageError,
@@ -262,7 +259,10 @@ def uninstall_hooks(c: ContainerState, labels) -> int:
 
 def _map_component_out(c: ContainerState, plugin_package: str, kind: str,
                        name: str) -> str:
-    """Outgoing name for a plugin component: verbatim, assigned stub, or a fresh stub."""
+    """Outgoing name for a plugin component: verbatim, assigned stub, or a fresh stub.
+    A component the plugin's own manifest does not declare takes no stub."""
+    if c.plugin_manifests[plugin_package].component(kind, name) is None:
+        raise ComponentNotRegisteredError(f"{name} is not a registered {kind} of {plugin_package}")
     declared = c.addon_manifest.component(kind, name)
     if declared is not None and not declared.stub:
         return name
@@ -329,6 +329,24 @@ def plugin_syscall(os: SimOs, c: ContainerState, caller: int, call: ApiCall):
 # Bypass hookset
 
 
+def _ps_to_ls(call: ApiCall) -> ApiCall:
+    return call._replace(cmd="ls") if call.cmd == "ps" else call
+
+
+def _native_data_dir(call: ApiCall, reply):
+    return dict(reply, data_dir=f"/data/data/{reply['package']}")
+
+
+def _deny_maps(call: ApiCall):
+    raise AccessDeniedError("access to /proc/self/maps is disabled")
+
+
+# The three hooks that do not depend on the victim, built once and shared.
+_EXEC_PS_HOOK = HookSpec(LOWLEVEL, "exec_shell", BEFORE, _ps_to_ls, HOOK_EXEC_PS)
+_DATA_DIR_HOOK = HookSpec(PROXY, "get_application_info", AFTER, _native_data_dir, HOOK_DATA_DIR)
+_PROC_MAPS_HOOK = HookSpec(LOWLEVEL, "read_proc_maps", REPLACE, _deny_maps, HOOK_PROC_MAPS)
+
+
 def install_cloaking_hookset(c: ContainerState, victim_package: str) -> None:
     """Install the four bypass hooks a disguised add-on ships.
 
@@ -336,26 +354,17 @@ def install_cloaking_hookset(c: ContainerState, victim_package: str) -> None:
     (b) shell "ps" is executed as "ls"; (c) application info reports the
     native private-directory pattern; (d) process-map reads are denied
     outright (covers both the foreign-APK and foreign-library checks).
+    Only (a) names the victim and is built per call; (b) to (d) are
+    module-level HookSpecs that every cloaked container shares.
     """
 
     def rename_processes(call: ApiCall, reply):
         return [dict(entry, name=victim_package) for entry in reply]
 
-    def ps_to_ls(call: ApiCall) -> ApiCall:
-        return call._replace(cmd="ls") if call.cmd == "ps" else call
-
-    def native_data_dir(call: ApiCall, reply):
-        return dict(reply, data_dir=f"/data/data/{reply['package']}")
-
-    def deny_maps(call: ApiCall):
-        raise AccessDeniedError("access to /proc/self/maps is disabled")
-
     install_hook(c, HookSpec(PROXY, "get_running_app_processes", AFTER,
                              rename_processes, HOOK_PROCESS_NAMES))
-    install_hook(c, HookSpec(LOWLEVEL, "exec_shell", BEFORE, ps_to_ls, HOOK_EXEC_PS))
-    install_hook(c, HookSpec(PROXY, "get_application_info", AFTER,
-                             native_data_dir, HOOK_DATA_DIR))
-    install_hook(c, HookSpec(LOWLEVEL, "read_proc_maps", REPLACE, deny_maps, HOOK_PROC_MAPS))
+    for hook in (_EXEC_PS_HOOK, _DATA_DIR_HOOK, _PROC_MAPS_HOOK):
+        install_hook(c, hook)
 
 
 # ---------------------------------------------------------------------------
@@ -363,28 +372,24 @@ def install_cloaking_hookset(c: ContainerState, victim_package: str) -> None:
 
 
 def first_run(os: SimOs, c: ContainerState, victim_package: str,
-              payload_document: str) -> list[dict]:
+              malicious: AppManifest) -> list[dict]:
     """The add-on's first execution, in order.
 
     Stops the victim's native process, plants a shortcut that looks like the
-    victim but targets the add-on, fetches the payload manifest by parsing
-    the downloaded ``payload_document`` text, loads it as a background plugin
-    with every service started, then loads the victim as the foreground
-    plugin. ``load_plugin`` places each: the payload's code under the plugin
-    root, the victim's at its installed APK. Before the first system call
-    the container process must be alive, the document is parsed, and neither
-    package may be loaded yet: a ContainerGoneError, a CatalogFetchError (an
-    empty or malformed document, one naming the victim, or a payload tag with
-    no store) or an AlreadyLoadedError leaves the environment as it was.
+    victim but targets the add-on, fetches the ``malicious`` payload manifest
+    (handed over in memory, as ``customize`` built it), loads it as a
+    background plugin with every service started, then loads the victim as
+    the foreground plugin. ``load_plugin`` places each: the payload's code
+    under the plugin root, the victim's at its installed APK. Before the
+    first system call the container process must be alive and neither
+    package may be loaded yet: a ContainerGoneError, a CatalogFetchError (a
+    payload naming the victim, or a payload tag with no store) or an
+    AlreadyLoadedError leaves the environment as it was.
     """
     _require_container(os, c)
     victim_record = os.registry.get(victim_package)
     if victim_record is None:
         raise UnknownPackageError(f"victim {victim_package} is not installed")
-    try:
-        malicious = parse_manifest(payload_document)
-    except ManifestError as exc:
-        raise CatalogFetchError(f"cannot fetch the payload manifest: {exc}") from exc
     if malicious.package == victim_package:
         raise CatalogFetchError(f"the payload manifest names the victim {victim_package}")
     for svc in malicious.services:

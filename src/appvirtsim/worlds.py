@@ -18,18 +18,13 @@ probes from each other by running each on its own ``World.fork``.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
 from . import artmodel, container, defaults
 from .customization import CustomizationResult, check_catalog, customize
-from .manifest import (
-    AppManifest,
-    SchemaError,
-    launcher_activity,
-    load_manifest_file,
-    serialize_manifest,
-)
+from .manifest import AppManifest, SchemaError, launcher_activity, load_manifest_file
 from .simos import ApiCall, SimOs
 
 NATIVE_ENV = "native"
@@ -71,14 +66,19 @@ def default_scenario(seed: int = defaults.DEFAULT_SEED, victim_path=None,
     return sc
 
 
-def seed_stores(os: SimOs, counts: dict[str, int], seed: int) -> None:
-    """Fill the data stores with deterministic opaque records."""
+@functools.lru_cache(maxsize=1)
+def _store_records(seed: int, counts: tuple[tuple[str, int], ...]):
+    """Each store's records for ``seed`` and the sorted ``counts`` items, as tuples."""
     rng = random.Random(seed)
-    for store in sorted(counts):
-        records = [
-            f"{store}-{i:03d}-{rng.randrange(16 ** 6):06x}"
-            for i in range(counts[store])
-        ]
+    return tuple((store, tuple(f"{store}-{i:03d}-{rng.randrange(16 ** 6):06x}"
+                               for i in range(count))) for store, count in counts)
+
+
+def seed_stores(os: SimOs, counts: dict[str, int], seed: int) -> None:
+    """Fill the data stores with deterministic opaque records. The records of
+    the last (seed, counts) seen are kept, so the next device with the same
+    seed and counts (every device of a run) reuses them."""
+    for store, records in _store_records(seed, tuple(sorted(counts.items()))):
         os.seed_store(store, records)
 
 
@@ -179,9 +179,10 @@ def build_cloaked_world(sc: MatrixScenario, drop_hook_labels: tuple[str, ...] = 
     os.install(result.addon)
     c = container.create_container(os, result.addon)
     container.install_cloaking_hookset(c, sc.victim.package)
-    container.uninstall_hooks(c, drop_hook_labels)
+    if drop_hook_labels:
+        container.uninstall_hooks(c, drop_hook_labels)
 
-    container.first_run(os, c, sc.victim.package, serialize_manifest(result.malicious))
+    container.first_run(os, c, sc.victim.package, result.malicious)
 
     pid = c.plugin_processes[sc.victim.package]
     runtime = artmodel.RuntimeModel(artmodel.VIRTUAL)

@@ -8,8 +8,10 @@ docstring:
       -> baseline reply rewriting -> after hooks in reverse order
 
 Every before hook rewrites the call in turn; the first replace hook then
-answers in place of the OS. ``ReferenceDispatch`` keeps its own hook list, in
-installation order, and its own stub table, component -> stub name. It reads
+answers in place of the OS. A plugin launching a component its own manifest
+does not declare gets ComponentNotRegisteredError and takes no stub.
+``ReferenceDispatch`` keeps its own hook list, in installation order, and its
+own stub table, component -> stub name. It reads
 the container's plugin tables and add-on manifest but never the container's
 hook or stub stores, and it also transcribes the payload sweep and the reap,
 the other two places those stores change. ``reference_world`` builds a world
@@ -33,7 +35,7 @@ from appvirtsim.container import (
     PluginGoneError,
 )
 from appvirtsim.permissions import PAYLOAD_STORES
-from appvirtsim.simos import LAUNCH_KINDS, ApiCall, ApiError
+from appvirtsim.simos import LAUNCH_KINDS, ApiCall, ApiError, ComponentNotRegisteredError
 
 
 def shared_tables(os, c) -> dict:
@@ -89,6 +91,8 @@ class ReferenceDispatch:
     # -- stubs ---------------------------------------------------------------
 
     def name_out(self, c, package: str, kind: str, name: str) -> str:
+        if c.plugin_manifests[package].component(kind, name) is None:  # as the OS would
+            raise ComponentNotRegisteredError(f"{name} is not a registered {kind} of {package}")
         declared = c.addon_manifest.component(kind, name)
         if declared is not None and not declared.stub:
             return name

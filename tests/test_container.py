@@ -1,4 +1,5 @@
 import functools
+import random
 from dataclasses import replace
 
 import pytest
@@ -31,13 +32,13 @@ from appvirtsim.container import (
     uninstall_hooks,
 )
 from appvirtsim.customization import customize, validate_result
+from appvirtsim.defaults import DEFAULT_STORE_COUNTS
 from appvirtsim.manifest import (
     ACTIVITY,
     RECEIVER,
     SERVICE,
     AppManifest,
     Component,
-    serialize_manifest,
 )
 from appvirtsim.simos import (
     API_KINDS,
@@ -45,6 +46,7 @@ from appvirtsim.simos import (
     AccessDeniedError,
     ApiCall,
     ApiError,
+    ComponentNotRegisteredError,
     SimOs,
     UnknownPackageError,
 )
@@ -52,6 +54,8 @@ from appvirtsim.worlds import (
     ENVIRONMENTS,
     WORLD_BUILDERS,
     build_cloaked_world,
+    build_naive_world,
+    build_native_world,
     default_scenario,
     launch_native,
     seed_stores,
@@ -182,6 +186,29 @@ def test_relaunch_reuses_assigned_stub(hosted, victim):
     second = plugin_syscall(os, c, pid, ApiCall("start_service", name=".SyncService"))
     assert first == second == ".SyncService"
     assert c.stub_assignments == assigned
+    assert os.processes[pid].running_services == ("PluginServiceManager",)
+
+
+def test_undeclared_launch_takes_no_stub():
+    # A plugin launching a component its own manifest does not declare is
+    # refused as the OS refuses it natively, and the stub it would have taken
+    # stays free for the plugin's real service.
+    undeclared = ApiCall("start_service", name=".NotDeclaredAnywhere")
+    native = build_native_world(default_scenario())
+    with pytest.raises(ComponentNotRegisteredError) as natively:
+        native.os.syscall(native.probe_pid, undeclared)
+    world = build_naive_world(default_scenario())
+    os, c, pid = world.os, world.container, world.probe_pid
+    assigned = dict(c.stub_assignments)
+    for kind in LAUNCH_KINDS:
+        with pytest.raises(ComponentNotRegisteredError):
+            plugin_syscall(os, c, pid, undeclared._replace(kind=kind))
+    with pytest.raises(ComponentNotRegisteredError) as hosted_call:
+        plugin_syscall(os, c, pid, undeclared)
+    assert str(hosted_call.value) == str(natively.value)
+    assert c.stub_assignments == assigned
+    real = ApiCall("start_service", name=".SyncService")
+    assert plugin_syscall(os, c, pid, real) == ".SyncService"
     assert os.processes[pid].running_services == ("PluginServiceManager",)
 
 
@@ -367,6 +394,47 @@ def test_uninstall_hooks_by_label(hosted, victim):
     assert len(c.hooks) == 3
 
 
+def test_cloaked_world_installs_the_hookset_in_order():
+    c = build_cloaked_world(default_scenario()).container
+    assert [h.label for h in c.hooks] == list(CLOAK_HOOK_LABELS)
+
+
+def test_cloaked_worlds_share_the_victim_independent_hooks(victim):
+    # Only the process-name hook names the victim; the other three are built
+    # once and every cloaked container holds the same objects.
+    sc = default_scenario()
+    other = replace(sc, victim=replace(victim, package="org.other.victim"))
+    first, second = (build_cloaked_world(s).container.hooks for s in (sc, other))
+    assert [h.label for h in first] == [h.label for h in second] == list(CLOAK_HOOK_LABELS)
+    assert first[0] is not second[0]
+    assert all(a is b for a, b in zip(first[1:], second[1:]))
+
+
+def _fresh_records(counts, seed) -> dict:
+    """The records seed_stores must store, generated afresh on every call."""
+    rng = random.Random(seed)
+    return {store: [f"{store}-{i:03d}-{rng.randrange(16 ** 6):06x}"
+                    for i in range(counts[store])]
+            for store in sorted(counts)}
+
+
+def test_seed_stores_matches_a_fresh_generation_whatever_came_before():
+    a = dict(DEFAULT_STORE_COUNTS)
+    b = {"contacts": 4, "sms": 1}
+    devices = []
+    for seed, counts in ((7, a), (7, b), (7, a), (8, a), (8, a)):
+        os = SimOs()
+        seed_stores(os, counts, seed)
+        expected = _fresh_records(counts, seed)
+        for store, records in os.data_stores.items():
+            assert type(records) is tuple
+            assert list(records) == expected.get(store, [])
+        devices.append(os)
+    # The last two devices share one seed and one set of counts: the second
+    # reuses the first's records instead of generating them again.
+    assert all(devices[3].data_stores[s] is devices[4].data_stores[s] for s in a)
+
+
 def test_plugin_data_dir_with_no_hooks(hosted, victim, template):
     os, c = hosted
     pid = load_plugin(os, c, victim)
@@ -391,7 +459,7 @@ def build_attack_world(victim, template, catalog, seed_counts=True):
     os.install(result.addon)
     c = create_container(os, result.addon)
     install_cloaking_hookset(c, victim.package)
-    return os, c, result, serialize_manifest(result.malicious)
+    return os, c, result, result.malicious
 
 
 def test_first_run_sequence(victim, template, catalog):
@@ -418,22 +486,6 @@ def test_first_run_with_victim_not_running(victim, template, catalog):
     log = first_run(os, c, victim.package, payload)
     assert log[0]["killed"] == 0
     assert set(c.plugin_processes) == {result.malicious.package, victim.package}
-
-
-def test_first_run_fetch_atomicity(victim, template, catalog):
-    os, c, _, _ = build_attack_world(victim, template, catalog)
-    with pytest.raises(CatalogFetchError):
-        first_run(os, c, victim.package, "")
-    assert c.plugin_processes == {}
-    assert os.shortcuts == [] and c.run_log == []
-
-
-def test_first_run_rejects_malformed_catalog_document(victim, template, catalog):
-    os, c, _, _ = build_attack_world(victim, template, catalog)
-    with pytest.raises(CatalogFetchError):
-        first_run(os, c, victim.package, '{"package": "x.y", "oops": 1}')
-    assert c.plugin_processes == {}
-    assert os.shortcuts == [] and c.run_log == []
 
 
 def test_first_run_duplicate_shortcut_warns(victim, template, catalog):
@@ -489,7 +541,7 @@ def test_tick_services_runs_a_payload_service_started_under_a_stub(
     os.install(template)
     c = create_container(os, template)
     malicious = customize(victim, template, catalog).malicious
-    log = first_run(os, c, victim.package, serialize_manifest(malicious))
+    log = first_run(os, c, victim.package, malicious)
     started = next(e for e in log if e["step"] == "start_payload_services")
     assert started["services"] == ["QuickChatContactsService"]
     payload_pid = c.plugin_processes[malicious.package]
@@ -600,7 +652,7 @@ def test_call_from_killed_plugin_is_a_typed_api_error():
 
 
 def test_cloaked_world_builds_without_the_host_filesystem(monkeypatch):
-    # The payload document stays in memory: the build opens, lists and
+    # The payload manifest stays in memory: the build opens, lists and
     # creates nothing on the host.
     def refuse(*args, **kwargs):
         raise AssertionError("the world build touched the host filesystem")
@@ -681,7 +733,7 @@ def test_reaped_plugin_frees_its_stub_for_the_next_launch(victim, template, cata
     os.install(template)
     c = create_container(os, template)
     malicious = customize(victim, template, catalog).malicious
-    first_run(os, c, victim.package, serialize_manifest(malicious))
+    first_run(os, c, victim.package, malicious)
     victim_pid = c.plugin_processes[victim.package]
     assert c.stub_assignments["PluginServiceManager"][0] == malicious.package
     assert plugin_syscall(os, c, victim_pid, ApiCall(
@@ -741,7 +793,7 @@ def test_first_run_in_a_dead_container_is_a_typed_error():
     tick_services(os, c)
     assert c.container_pid not in os.processes
     log, shortcuts, pids = list(c.run_log), list(os.shortcuts), set(os.processes)
-    payload = serialize_manifest(replace(malicious, package="org.example.payload2"))
+    payload = replace(malicious, package="org.example.payload2")
     with pytest.raises(ContainerGoneError, match=f"container process {c.container_pid} is gone"):
         first_run(os, c, world.probe_manifest.package, payload)
     assert (c.run_log, os.shortcuts, set(os.processes)) == (log, shortcuts, pids)
@@ -774,7 +826,7 @@ def world_signature(os, c) -> dict:
 def test_first_run_refuses_a_payload_naming_the_victim(victim, template, catalog):
     os, c, result, _ = build_attack_world(victim, template, catalog)
     before = world_signature(os.fork(), c.fork())
-    payload = serialize_manifest(replace(result.malicious, package=victim.package))
+    payload = replace(result.malicious, package=victim.package)
     with pytest.raises(CatalogFetchError, match="names the victim"):
         first_run(os, c, victim.package, payload)
     assert world_signature(os, c) == before
@@ -785,7 +837,7 @@ def test_first_run_refuses_a_payload_tag_with_no_store(victim, template, catalog
     os, c, result, _ = build_attack_world(victim, template, catalog)
     before = world_signature(os.fork(), c.fork())
     services = (replace(result.malicious.services[0], payload="calendar"),)
-    payload = serialize_manifest(replace(result.malicious, services=services))
+    payload = replace(result.malicious, services=services)
     with pytest.raises(CatalogFetchError, match="unknown payload tag 'calendar'"):
         first_run(os, c, victim.package, payload)
     assert world_signature(os, c) == before

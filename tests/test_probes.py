@@ -22,7 +22,7 @@ from appvirtsim.container import (
 )
 from appvirtsim.corpus import corpus_manifest
 from appvirtsim.defaults import default_catalog, default_companion, default_template
-from appvirtsim.manifest import COMPONENT_KINDS, serialize_manifest
+from appvirtsim.manifest import COMPONENT_KINDS
 from appvirtsim.permissions import ALL_PERMISSIONS, STORE_NAMES
 from appvirtsim.probes import (
     PROBE_FUNCS,
@@ -206,9 +206,9 @@ def test_second_first_run_changes_nothing(worlds_by_env):
     # second shortcut, no killed process, no run-log entry.
     parent = worlds_by_env[CLOAKED_ENV]
     fork = parent.fork()
-    payload = serialize_manifest(fork.customization.malicious)
     with pytest.raises(AlreadyLoadedError):
-        first_run(fork.os, fork.container, fork.probe_manifest.package, payload)
+        first_run(fork.os, fork.container, fork.probe_manifest.package,
+                  fork.customization.malicious)
     assert world_state(fork) == world_state(parent)
 
 
