@@ -17,6 +17,10 @@ own manifest does not declare takes no stub: it is a
 ComponentNotRegisteredError, as it is natively. Hooks layer attack/bypass
 behavior on top of that baseline.
 
+Each loaded plugin is one frozen PluginRecord in ``ContainerState.plugins``,
+the one plugin store; ``plugin_manifests``, ``plugin_processes``,
+``plugin_apk_paths`` and ``plugin_data_dirs`` are read-only views of it.
+
 All mutation happens through the owning scenario thread; simulated
 background services advance only when tick_services is called.
 """
@@ -25,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .manifest import AppManifest, Component, launcher_activity
 from .permissions import PAYLOAD_STORES
@@ -112,6 +117,21 @@ class HookSpec:
             raise ValueError(f"unknown hook mode: {self.mode!r}")
 
 
+@dataclass(frozen=True)
+class PluginRecord:
+    """One loaded plugin: its manifest, its process, and its code path and private directory."""
+
+    manifest: AppManifest
+    pid: int
+    apk_path: str
+    data_dir: str
+
+
+def _plugin_view(attr: str) -> property:
+    """A read-only view of ``plugins``: package -> the record's ``attr``."""
+    return property(lambda c: MappingProxyType({p: getattr(r, attr) for p, r in c.plugins.items()}))
+
+
 @dataclass
 class ContainerState:
     addon_package: str
@@ -119,10 +139,9 @@ class ContainerState:
     container_pid: int
     plugin_data_root: str
     stub_components: tuple[Component, ...] = ()
-    plugin_manifests: dict[str, AppManifest] = field(default_factory=dict)
-    plugin_processes: dict[str, int] = field(default_factory=dict)
-    plugin_apk_paths: dict[str, str] = field(default_factory=dict)
-    plugin_data_dirs: dict[str, str] = field(default_factory=dict)
+    # The one plugin store, package -> PluginRecord; views: plugin_manifests,
+    # plugin_processes, plugin_apk_paths and plugin_data_dirs.
+    plugins: dict[str, PluginRecord] = field(default_factory=dict)
     # The one stub store, stub -> (plugin package, kind, real name); view: component_stub_map.
     stub_assignments: dict[str, tuple[str, str, str]] = field(default_factory=dict)
     foreground_plugin: str | None = None
@@ -138,25 +157,27 @@ class ContainerState:
         return tuple(h for group in self.hooks_by_target.values() for h in group)
 
     @property
-    def component_stub_map(self) -> dict[tuple[str, str, str], str]:
+    def component_stub_map(self) -> Mapping[tuple[str, str, str], str]:
         """Read-only view: ``stub_assignments`` inverted, component -> stub name."""
-        return {key: stub for stub, key in self.stub_assignments.items()}
+        return MappingProxyType({key: stub for stub, key in self.stub_assignments.items()})
+
+    plugin_manifests = _plugin_view("manifest")
+    plugin_processes = _plugin_view("pid")
+    plugin_apk_paths = _plugin_view("apk_path")
+    plugin_data_dirs = _plugin_view("data_dir")
 
     def fork(self) -> ContainerState:
-        """An independent copy: the six dicts (the two stores among them) and the
-        run log are copied shallowly, and the views derive from the copies.
-        Frozen manifests and stubs, run-log entries (never changed once appended)
-        and hook groups (tuples that install and uninstall rebind) are shared."""
+        """An independent copy: the three stores and the run log are copied
+        shallowly, and the views derive from the copies. Frozen plugin records,
+        manifests and stubs, run-log entries (never changed once appended) and
+        hook groups (tuples that install and uninstall rebind) are shared."""
         return ContainerState(
             addon_package=self.addon_package,
             addon_manifest=self.addon_manifest,
             container_pid=self.container_pid,
             plugin_data_root=self.plugin_data_root,
             stub_components=self.stub_components,
-            plugin_manifests=dict(self.plugin_manifests),
-            plugin_processes=dict(self.plugin_processes),
-            plugin_apk_paths=dict(self.plugin_apk_paths),
-            plugin_data_dirs=dict(self.plugin_data_dirs),
+            plugins=dict(self.plugins),
             stub_assignments=dict(self.stub_assignments),
             foreground_plugin=self.foreground_plugin,
             plugin_loads=self.plugin_loads,
@@ -192,6 +213,15 @@ def _require_container(os: SimOs, c: ContainerState) -> None:
         raise ContainerGoneError(f"{c.addon_package}: container process {c.container_pid} is gone")
 
 
+def _require_loadable(c: ContainerState, plugin: AppManifest) -> None:
+    """The rule for a plugin to load: not loaded yet, and each payload tag names a store."""
+    if plugin.package in c.plugins:
+        raise AlreadyLoadedError(f"{plugin.package} is already loaded")
+    for svc in plugin.services:
+        if svc.payload is not None and svc.payload not in PAYLOAD_STORES:
+            raise CatalogFetchError(f"{svc.name}: unknown payload tag {svc.payload!r}")
+
+
 def load_plugin(os: SimOs, c: ContainerState, plugin: AppManifest) -> int:
     """Fork a shared-UID process for a plugin and wire it into the environment.
 
@@ -202,12 +232,12 @@ def load_plugin(os: SimOs, c: ContainerState, plugin: AppManifest) -> int:
     queries for the plugin report both. The plugin itself is not installed:
     its receivers are registered dynamically, and its launcher activity
     (when present) is opened through the dispatch pipeline, taking
-    foreground from any previously loaded plugin. A dead container process
-    loads nothing: the ContainerGoneError comes before any spawn.
+    foreground from any previously loaded plugin. A dead container, a loaded
+    package or a payload tag with no store loads nothing: the error comes
+    before any spawn.
     """
     _require_container(os, c)
-    if plugin.package in c.plugin_manifests:
-        raise AlreadyLoadedError(f"{plugin.package} is already loaded")
+    _require_loadable(c, plugin)
     data_dir = f"{c.plugin_data_root}/{plugin.package}"
     record = os.registry.get(plugin.package)
     apk_path = record.apk_path if record is not None else f"{data_dir}/base.apk"
@@ -219,10 +249,7 @@ def load_plugin(os: SimOs, c: ContainerState, plugin: AppManifest) -> int:
     )
     c.plugin_loads += 1
     os.mkdir(data_dir)
-    c.plugin_manifests[plugin.package] = plugin
-    c.plugin_processes[plugin.package] = pid
-    c.plugin_apk_paths[plugin.package] = apk_path
-    c.plugin_data_dirs[plugin.package] = data_dir
+    c.plugins[plugin.package] = PluginRecord(plugin, pid, apk_path, data_dir)
     for receiver in plugin.receivers:
         os.syscall(pid, ApiCall("register_receiver", name=receiver.name,
                                 actions=receiver.intents))
@@ -261,7 +288,7 @@ def _map_component_out(c: ContainerState, plugin_package: str, kind: str,
                        name: str) -> str:
     """Outgoing name for a plugin component: verbatim, assigned stub, or a fresh stub.
     A component the plugin's own manifest does not declare takes no stub."""
-    if c.plugin_manifests[plugin_package].component(kind, name) is None:
+    if c.plugins[plugin_package].manifest.component(kind, name) is None:
         raise ComponentNotRegisteredError(f"{name} is not a registered {kind} of {plugin_package}")
     declared = c.addon_manifest.component(kind, name)
     if declared is not None and not declared.stub:
@@ -286,8 +313,8 @@ def plugin_syscall(os: SimOs, c: ContainerState, caller: int, call: ApiCall):
     """Run one plugin call through hooks, baseline rewriting, and the OS."""
     if caller not in os.processes:  # a dead plugin may already be reaped
         raise PluginGoneError(f"{c.addon_package}: process {caller} is gone")
-    for plugin_package, pid in c.plugin_processes.items():
-        if pid == caller:
+    for plugin_package, record in c.plugins.items():
+        if record.pid == caller:
             break
     else:
         raise NotAPluginError(f"pid {caller} is not a plugin process of {c.addon_package}")
@@ -304,10 +331,8 @@ def plugin_syscall(os: SimOs, c: ContainerState, caller: int, call: ApiCall):
     kind = call.kind
     if replacement is not None:
         reply = replacement.fn(call)
-    elif kind == "get_application_info" and call.package in c.plugin_manifests:
-        package = call.package
-        reply = {"package": package, "source_dir": c.plugin_apk_paths[package],
-                 "data_dir": c.plugin_data_dirs[package]}
+    elif kind == "get_application_info" and (plugin := c.plugins.get(call.package)) is not None:
+        reply = {"package": call.package, "source_dir": plugin.apk_path, "data_dir": plugin.data_dir}
     elif kind in LAUNCH_KINDS:  # launches go out under the stub name
         wire_name = _map_component_out(c, plugin_package, LAUNCH_KINDS[kind], call.name or "")
         reply = _map_name_back(c, os.syscall(caller, call._replace(name=wire_name)))
@@ -392,12 +417,8 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
         raise UnknownPackageError(f"victim {victim_package} is not installed")
     if malicious.package == victim_package:
         raise CatalogFetchError(f"the payload manifest names the victim {victim_package}")
-    for svc in malicious.services:
-        if svc.payload is not None and svc.payload not in PAYLOAD_STORES:
-            raise CatalogFetchError(f"{svc.name}: unknown payload tag {svc.payload!r}")
-    for package in (malicious.package, victim_package):
-        if package in c.plugin_manifests:
-            raise AlreadyLoadedError(f"{package} is already loaded")
+    for plugin in (malicious, victim_record.manifest):
+        _require_loadable(c, plugin)
     log = c.run_log
 
     killed = os.syscall(
@@ -444,13 +465,11 @@ def _reap_plugin(os: SimOs, c: ContainerState, package: str) -> None:
     """Forget a plugin whose process died: its bookkeeping, its stubs (free
     for the next launch), its receivers under the shared UID that no live
     plugin also declares, and its foreground."""
-    manifest = c.plugin_manifests.pop(package)
-    for table in (c.plugin_processes, c.plugin_apk_paths, c.plugin_data_dirs):
-        del table[package]
+    manifest = c.plugins.pop(package).manifest
     for stub_name in [s for s, key in c.stub_assignments.items() if key[0] == package]:
         del c.stub_assignments[stub_name]
     uid = os.registry[c.addon_package].uid
-    kept = {r.name for m in c.plugin_manifests.values() for r in m.receivers}
+    kept = {r.name for p in c.plugins.values() for r in p.manifest.receivers}
     for receiver in manifest.receivers:
         if receiver.name not in kept:
             os.dynamic_receivers.pop((uid, receiver.name), None)
@@ -473,16 +492,16 @@ def tick_services(os: SimOs, c: ContainerState) -> None:
     was killed is reaped with a logged warning.
     """
     sink = os.exfil_sink
-    for package, pid in list(c.plugin_processes.items()):
-        proc = os.processes.get(pid)
+    for package, record in list(c.plugins.items()):
+        proc = os.processes.get(record.pid)
         if proc is None:
             c.run_log.append({
                 "step": "warning",
-                "detail": f"{package}: process {pid} is gone; not ticked",
+                "detail": f"{package}: process {record.pid} is gone; not ticked",
             })
             _reap_plugin(os, c, package)
             continue
-        services = c.plugin_manifests[package].services
+        services = record.manifest.services
         for wire_name in proc.running_services:
             name = _map_name_back(c, wire_name)
             for service in services:
@@ -494,7 +513,7 @@ def tick_services(os: SimOs, c: ContainerState) -> None:
             if tag is None:
                 continue
             try:
-                records = plugin_syscall(os, c, pid, _STORE_READS[tag])
+                records = plugin_syscall(os, c, record.pid, _STORE_READS[tag])
             except ApiError as exc:
                 c.run_log.append({
                     "step": "warning",

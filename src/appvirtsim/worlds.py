@@ -184,7 +184,7 @@ def build_cloaked_world(sc: MatrixScenario, drop_hook_labels: tuple[str, ...] = 
 
     container.first_run(os, c, sc.victim.package, result.malicious)
 
-    pid = c.plugin_processes[sc.victim.package]
+    pid = c.plugins[sc.victim.package].pid
     runtime = artmodel.RuntimeModel(artmodel.VIRTUAL)
     artmodel.warm_up(runtime)
     return World(CLOAKED_ENV, os, pid, sc.victim, runtime,

@@ -12,7 +12,7 @@ answers in place of the OS. A plugin launching a component its own manifest
 does not declare gets ComponentNotRegisteredError and takes no stub.
 ``ReferenceDispatch`` keeps its own hook list, in installation order, and its
 own stub table, component -> stub name. It reads
-the container's plugin tables and add-on manifest but never the container's
+the container's plugin store and add-on manifest but never the container's
 hook or stub stores, and it also transcribes the payload sweep and the reap,
 the other two places those stores change. ``reference_world`` builds a world
 with the reference standing in for the container's dispatch and hook calls.
@@ -48,10 +48,9 @@ def shared_tables(os, c) -> dict:
     }
     if c is not None:
         tables.update(
-            container_pid=c.container_pid, plugin_manifests=c.plugin_manifests,
-            plugin_processes=c.plugin_processes, plugin_apk_paths=c.plugin_apk_paths,
-            plugin_data_dirs=c.plugin_data_dirs, foreground_plugin=c.foreground_plugin,
-            plugin_loads=c.plugin_loads, run_log=c.run_log,
+            container_pid=c.container_pid, plugins=c.plugins,
+            foreground_plugin=c.foreground_plugin, plugin_loads=c.plugin_loads,
+            run_log=c.run_log,
         )
     return tables
 
@@ -149,9 +148,7 @@ class ReferenceDispatch:
     # -- the payload sweep -----------------------------------------------------
 
     def reap(self, os, c, package: str) -> None:
-        manifest = c.plugin_manifests.pop(package)
-        for table in (c.plugin_processes, c.plugin_apk_paths, c.plugin_data_dirs):
-            del table[package]
+        manifest = c.plugins.pop(package).manifest
         self.stubs = {key: stub for key, stub in self.stubs.items() if key[0] != package}
         uid = os.registry[c.addon_package].uid
         live = {r.name for m in c.plugin_manifests.values() for r in m.receivers}

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from appvirtsim import permissions as perms
 from appvirtsim.container import (
@@ -51,6 +52,7 @@ from appvirtsim.simos import (
     UnknownPackageError,
 )
 from appvirtsim.worlds import (
+    CLOAKED_ENV,
     ENVIRONMENTS,
     WORLD_BUILDERS,
     build_cloaked_world,
@@ -60,7 +62,7 @@ from appvirtsim.worlds import (
     launch_native,
     seed_stores,
 )
-from reference_dispatch import reference_world, shared_tables
+from reference_dispatch import ReferenceDispatch, reference_world, shared_tables
 
 
 @pytest.fixture
@@ -286,11 +288,10 @@ def test_dispatch_order_over_both_layers(hosted, victim):
     assert reply == "ll-r1(ps|ll-b1|ll-b2|px-b)|px-a|ll-a2|ll-a1"
 
 
-def regrouped(hooks) -> dict:
-    by_target: dict = {}
-    for h in hooks:
-        by_target.setdefault(h.target, []).append(h)
-    return {target: tuple(group) for target, group in by_target.items()}
+def in_install_order(ref: ReferenceDispatch) -> dict:
+    """The reference's hooks by target, each group in its dispatch order."""
+    return {target: tuple(ref.dispatch_order(target))
+            for target in dict.fromkeys(h.target for h in ref.hooks)}
 
 
 _HOOK_LABELS = ("a", "b", "c")
@@ -305,24 +306,29 @@ _HOOK_OPS = st.one_of(
 
 @given(st.lists(_HOOK_OPS, max_size=30))
 def test_hook_index_is_the_hook_list_by_target(ops):
-    # After any install, uninstall and fork sequence the index regroups the
-    # hook list, and later changes to a fork leave its parent's index alone.
+    # After any install, uninstall and fork sequence each target's group holds
+    # what the reference's install-order list gives: lowlevel hooks before
+    # proxy hooks, each layer in install order, no empty group. Later changes
+    # to a fork leave its parent's index alone.
     c = ContainerState("org.example.addon", AppManifest("org.example.addon"), 1,
                        "/data/data/org.example.addon/Plugin")
+    ref = ReferenceDispatch()
     parents = []
     for op in ops:
         if op[0] == "install":
             _, layer, target, mode, label = op
-            install_hook(c, HookSpec(layer, target, mode, lambda call, *reply: call, label))
+            hook = HookSpec(layer, target, mode, lambda call, *reply: call, label)
+            install_hook(c, hook)
+            ref.install_hook(c, hook)
         elif op[0] == "uninstall":
-            uninstall_hooks(c, op[1])
+            assert uninstall_hooks(c, op[1]) == ref.uninstall_hooks(c, op[1])
         else:
-            parents.append((c, dict(c.hooks_by_target)))
-            c = c.fork()
+            parents.append((c, dict(c.hooks_by_target), ref))
+            c, ref = c.fork(), ref.fork()
             assert c.hooks_by_target is not parents[-1][0].hooks_by_target
-        assert c.hooks_by_target == regrouped(c.hooks)
-    for parent, index in parents:
-        assert parent.hooks_by_target == index == regrouped(parent.hooks)
+        assert c.hooks_by_target == in_install_order(ref)
+    for parent, index, parent_ref in parents:
+        assert parent.hooks_by_target == index == in_install_order(parent_ref)
 
 
 def test_hook_on_unknown_target_rejected():
@@ -637,6 +643,22 @@ def test_fork_hook_and_mkdir_leave_parent_alone(hosted):
     assert os.fs_dirs == dirs
 
 
+@pytest.mark.parametrize("view", ("plugin_manifests", "plugin_processes", "plugin_apk_paths",
+                                  "plugin_data_dirs", "component_stub_map"))
+def test_views_refuse_writes(view):
+    # A view is rebuilt from its store on every read, so a write through it
+    # would be lost; it raises instead, and the store is left as it was.
+    c = build_naive_world(default_scenario()).container  # its launchers hold stubs
+    plugins, stubs = dict(c.plugins), dict(c.stub_assignments)
+    table = getattr(c, view)
+    key = next(iter(table))
+    with pytest.raises(TypeError):
+        table[key] = table[key]
+    with pytest.raises(TypeError):
+        del table[key]
+    assert (c.plugins, c.stub_assignments) == (plugins, stubs)
+
+
 def test_call_from_killed_plugin_is_a_typed_api_error():
     # The payload kills the victim plugin's process; the victim's next call
     # is refused as a modelled failure, not an internal lookup error.
@@ -832,6 +854,18 @@ def test_first_run_refuses_a_payload_naming_the_victim(victim, template, catalog
     assert world_signature(os, c) == before
 
 
+def test_load_plugin_refuses_a_payload_tag_with_no_store(hosted):
+    # The same rule as first_run's, for any plugin: a service whose payload
+    # tag names no store would start, then break the next sweep.
+    os, c = hosted
+    plugin = AppManifest("org.example.tagged", services=(
+        Component(".CalendarService", SERVICE, payload="calendar"),))
+    before = world_signature(os.fork(), c.fork())
+    with pytest.raises(CatalogFetchError, match="unknown payload tag 'calendar'"):
+        load_plugin(os, c, plugin)
+    assert world_signature(os, c) == before
+
+
 def test_first_run_refuses_a_payload_tag_with_no_store(victim, template, catalog):
     # A tag outside PAYLOAD_STORES would start, then fail the first sweep.
     os, c, result, _ = build_attack_world(victim, template, catalog)
@@ -986,3 +1020,149 @@ def test_dispatch_answers_to_the_reference(data):
         _assert_same(real, ref_world, ref)
     for parent in parents:
         _assert_same(*parent)
+
+
+# ---------------------------------------------------------------------------
+# Plugin lifecycle as a state machine
+
+
+_LIFECYCLE_PACKAGES = ("org.lifecycle.app0", "org.lifecycle.app1", "org.victim.app")
+# Two tags with a store and one without, which load_plugin refuses.
+_PAYLOAD_TAGS = (None, "contacts", "sms", "calendar")
+
+
+def _unique_components(kind: str, names, **fields):
+    """Components of one kind over ``names``, each with one draw of ``fields``."""
+    return st.lists(st.builds(functools.partial(Component, kind=kind), st.sampled_from(names),
+                              **fields), max_size=len(names), unique_by=lambda comp: comp.name)
+
+
+# Names the add-on declares verbatim, and names that need one of its stubs.
+_lifecycle_plugins = st.builds(
+    AppManifest,
+    package=st.sampled_from(_LIFECYCLE_PACKAGES),
+    activities=st.sampled_from(((), (Component(".OwnMain", ACTIVITY, launcher=True),),
+                                (Component(".MainActivity", ACTIVITY, launcher=True),))),
+    services=_unique_components(SERVICE, (".SyncService", "QuickChatContactsService", ".Own"),
+                                payload=st.sampled_from(_PAYLOAD_TAGS)),
+    receivers=_unique_components(RECEIVER, (".MsgReceiver", ".OwnReceiver"),
+                                 intents=st.sampled_from((("org.lifecycle.PING",), ()))),
+    native_components=st.frozensets(st.sampled_from(("libown",))),
+)
+
+
+def _lifecycle_calls() -> list[ApiCall]:
+    """Calls of every kind over the argument values of the dispatch test, a
+    fixed sample: drawing each field anew would dominate the machine's time."""
+    rng = random.Random(7)
+    values = _call_values()
+    return [ApiCall(kind, **{key: rng.choice([None, *vals]) for key, vals in values.items()})
+            for kind in sorted(API_KINDS) for _ in range(8)]
+
+
+class PluginLifecycle(RuleBasedStateMachine):
+    """Loads, kills, sweeps, service restarts and hook changes in any order on
+    a fork of the cloaked world. The one plugin table stays consistent with
+    the OS process table, only ApiErrors cross plugin_syscall, and the
+    exfiltration sink only grows."""
+
+    def __init__(self):
+        super().__init__()
+        world = _dispatch_worlds()[CLOAKED_ENV][0].fork()
+        self.os, self.c = world.os, world.container
+        self.sink = list(self.os.exfil_sink)
+        self.plugin_pids = {record.pid for record in self.c.plugins.values()}
+
+    def live_pids(self) -> list[int]:
+        return sorted(r.pid for r in self.c.plugins.values() if r.pid in self.os.processes)
+
+    def live_services(self) -> list[str]:
+        """The live plugins that declare a service."""
+        return sorted(p for p, r in self.c.plugins.items()
+                      if r.pid in self.os.processes and r.manifest.services)
+
+    def call(self, caller: int, call: ApiCall):
+        """One plugin call; an ApiError is a reply, anything else fails the test."""
+        try:
+            return plugin_syscall(self.os, self.c, caller, call)
+        except ApiError as exc:
+            return exc
+
+    @initialize(plugin=_lifecycle_plugins)
+    def load_first(self, plugin):
+        self.load(plugin)
+
+    @rule(plugin=_lifecycle_plugins)
+    def load(self, plugin):
+        try:
+            load_plugin(self.os, self.c, plugin)
+        except (AlreadyLoadedError, CatalogFetchError, ContainerGoneError):
+            return
+        except ApiError:  # the launcher found no free stub; the plugin stays loaded
+            pass
+        record = self.c.plugins[plugin.package]
+        assert record.manifest is plugin and record.pid in self.os.processes
+        self.plugin_pids.add(record.pid)
+
+    @rule(data=st.data())
+    def kill(self, data):
+        # By the add-on's package: every other add-on process dies, from the
+        # container's pid (which lives on) or a plugin's (which kills the container).
+        callers = self.live_pids()
+        container_alive = self.c.container_pid in self.os.processes
+        if container_alive and (not callers or data.draw(st.booleans())):
+            self.os.syscall(self.c.container_pid, ApiCall("kill_background_processes",
+                                                          package=self.c.addon_package))
+        elif callers:
+            self.call(data.draw(st.sampled_from(callers)),
+                      ApiCall("kill_background_processes", package=self.c.addon_package))
+
+    @rule()
+    def tick(self):
+        tick_services(self.os, self.c)
+        assert all(r.pid in self.os.processes for r in self.c.plugins.values())
+
+    @precondition(lambda self: self.live_services())
+    @rule(data=st.data())
+    def start_service_twice(self, data):
+        package = data.draw(st.sampled_from(self.live_services()))
+        record = self.c.plugins[package]
+        name = data.draw(st.sampled_from([s.name for s in record.manifest.services]))
+        first = self.call(record.pid, ApiCall("start_service", name=name))
+        second = self.call(record.pid, ApiCall("start_service", name=name))
+        assert type(first) is type(second)
+        running = self.os.processes[record.pid].running_services
+        assert len(running) == len(set(running))
+
+    @precondition(lambda self: self.live_pids())
+    @rule(data=st.data(), call=st.deferred(lambda: st.sampled_from(_lifecycle_calls())))
+    def any_call(self, data, call):
+        self.call(data.draw(st.sampled_from(self.live_pids())), call)
+
+    @rule(hook=st.builds(_test_hook, st.sampled_from(LAYERS),
+                         st.sampled_from(("access_resource", "start_service",
+                                          "get_application_info", "get_running_services")),
+                         st.sampled_from(MODES), st.sampled_from((False, False, True)),
+                         st.sampled_from(_HOOK_LABELS)))
+    def install(self, hook):
+        install_hook(self.c, hook)
+
+    @rule(labels=st.frozensets(st.sampled_from(_HOOK_LABELS + CLOAK_HOOK_LABELS)))
+    def uninstall(self, labels):
+        uninstall_hooks(self.c, labels)
+
+    @invariant()
+    def dead_plugins_are_gone(self):
+        for pid in self.plugin_pids - set(self.os.processes):
+            with pytest.raises(PluginGoneError):
+                plugin_syscall(self.os, self.c, pid, ApiCall("get_installed_packages"))
+
+    @invariant()
+    def sink_only_grows(self):
+        assert self.os.exfil_sink[:len(self.sink)] == self.sink
+        self.sink = list(self.os.exfil_sink)
+
+
+PluginLifecycle.TestCase.settings = settings(max_examples=100, stateful_step_count=30,
+                                             deadline=None)
+test_plugin_lifecycle = PluginLifecycle.TestCase

@@ -15,9 +15,12 @@ from appvirtsim.container import (
     HOOK_EXEC_PS,
     HOOK_PROC_MAPS,
     HOOK_PROCESS_NAMES,
+    PROXY,
+    REPLACE,
     AlreadyLoadedError,
     HookSpec,
     first_run,
+    install_hook,
     tick_services,
 )
 from appvirtsim.corpus import corpus_manifest
@@ -326,9 +329,11 @@ def test_modelled_failure_is_an_error_verdict(worlds_by_env):
 
 
 def test_python_error_in_probe_propagates(worlds_by_env):
-    # Broken bookkeeping is a bug, not a modelled failure: no error cell.
+    # A broken world is a bug, not a modelled failure: no error cell. Here a
+    # hook answers application info without the private directory.
     world = worlds_by_env[NAIVE_ENV].fork()
-    del world.container.plugin_data_dirs[world.probe_manifest.package]
+    install_hook(world.container, HookSpec(PROXY, "get_application_info", REPLACE,
+                                           lambda call: {"package": call.package}))
     with pytest.raises(KeyError):
         run_probe(EnvHandle(world), "9")
 
