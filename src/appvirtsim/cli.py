@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 from . import __version__, container, corpus, defaults, probes, worlds
-from .customization import CustomizationInvariantError, check_catalog, customize
+from .customization import CustomizationInvariantError, customize
 from .manifest import (
     ManifestError,
     load_manifest_file,
@@ -67,16 +67,14 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_build_addon(args) -> int:
-    victim = load_manifest_file(args.victim)
-    template = load_manifest_file(args.template)
-    catalog = check_catalog(load_manifest_file(args.catalog))
-    result = customize(victim, template, catalog)
+    sc = worlds.default_scenario(defaults.DEFAULT_SEED, args.victim, args.template, args.catalog)
+    result = customize(sc.victim, sc.template, sc.catalog)
     write_manifest_file(args.out, result.addon)
     write_manifest_file(args.malicious_out, result.malicious)
     report_path = args.report or str(Path(args.out).with_suffix(".report.json"))
     Path(report_path).write_text(json.dumps({
         "tool": {"name": "appvirtsim", "version": __version__},
-        "victim": victim.package,
+        "victim": sc.victim.package,
         "rename_map": result.rename_map,
         "steps": result.report,
     }, indent=2) + "\n", encoding="utf-8")
@@ -256,8 +254,11 @@ def cmd_bench(args) -> int:
     corpus_dir = Path(args.corpus)
     if not corpus_dir.is_dir():
         return _fail(f"corpus directory missing: {corpus_dir}", EXIT_INPUT)
-    manifests = [load_manifest_file(p) for p in sorted(corpus_dir.glob("*.json"))]
     sc = worlds.default_scenario(template_path=args.template, catalog_path=args.catalog)
+    # Building each victim's scenario checks its package against the other inputs.
+    manifests = [worlds.MatrixScenario(load_manifest_file(p), sc.template, sc.catalog,
+                                       sc.companion).victim
+                 for p in sorted(corpus_dir.glob("*.json"))]
 
     rows = _bench_customization(manifests, sc.template, sc.catalog, args.repeat)
     document: dict = {

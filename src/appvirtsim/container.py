@@ -32,7 +32,7 @@ from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .manifest import AppManifest, Component, launcher_activity
+from .manifest import ACTIVITY, AppManifest, Component, launcher_activity
 from .permissions import PAYLOAD_STORES
 from .simos import (
     API_KINDS,
@@ -233,11 +233,14 @@ def load_plugin(os: SimOs, c: ContainerState, plugin: AppManifest) -> int:
     its receivers are registered dynamically, and its launcher activity
     (when present) is opened through the dispatch pipeline, taking
     foreground from any previously loaded plugin. A dead container, a loaded
-    package or a payload tag with no store loads nothing: the error comes
-    before any spawn.
+    package, a payload tag with no store or a launcher with no free stub loads
+    nothing: the error comes before any spawn.
     """
     _require_container(os, c)
     _require_loadable(c, plugin)
+    launcher = launcher_activity(plugin)
+    if launcher is not None:
+        _stub_out(c, (plugin.package, ACTIVITY, launcher.name))
     data_dir = f"{c.plugin_data_root}/{plugin.package}"
     record = os.registry.get(plugin.package)
     apk_path = record.apk_path if record is not None else f"{data_dir}/base.apk"
@@ -256,7 +259,6 @@ def load_plugin(os: SimOs, c: ContainerState, plugin: AppManifest) -> int:
     for native in sorted(plugin.native_components):
         os.syscall(pid, ApiCall("native_blob_write", name=native,
                                 token=f"init:{plugin.package}"))
-    launcher = launcher_activity(plugin)
     if launcher is not None:
         plugin_syscall(os, c, pid, ApiCall("start_activity", name=launcher.name))
         c.foreground_plugin = plugin.package
@@ -284,24 +286,21 @@ def uninstall_hooks(c: ContainerState, labels) -> int:
 # Dispatch
 
 
-def _map_component_out(c: ContainerState, plugin_package: str, kind: str,
-                       name: str) -> str:
-    """Outgoing name for a plugin component: verbatim, assigned stub, or a fresh stub.
-    A component the plugin's own manifest does not declare takes no stub."""
-    if c.plugins[plugin_package].manifest.component(kind, name) is None:
-        raise ComponentNotRegisteredError(f"{name} is not a registered {kind} of {plugin_package}")
+def _stub_out(c: ContainerState, key: tuple[str, str, str]) -> str | None:
+    """The stub a launch of ``key`` (plugin package, kind, name) goes out
+    under: the one assigned to it, else the first free stub of its kind; None
+    when the add-on declares the component verbatim. Assigns nothing."""
+    package, kind, name = key
     declared = c.addon_manifest.component(kind, name)
     if declared is not None and not declared.stub:
-        return name
-    key = (plugin_package, kind, name)
+        return None
     for stub_name, assigned in c.stub_assignments.items():
         if assigned == key:
             return stub_name
     for stub in c.stub_components:
         if stub.kind == kind and stub.name not in c.stub_assignments:
-            c.stub_assignments[stub.name] = key
             return stub.name
-    raise NoFreeStubError(f"no free {kind} stub left for {plugin_package}/{name}")
+    raise NoFreeStubError(f"no free {kind} stub left for {package}/{name}")
 
 
 def _map_name_back(c: ContainerState, name: str) -> str:
@@ -333,9 +332,14 @@ def plugin_syscall(os: SimOs, c: ContainerState, caller: int, call: ApiCall):
         reply = replacement.fn(call)
     elif kind == "get_application_info" and (plugin := c.plugins.get(call.package)) is not None:
         reply = {"package": call.package, "source_dir": plugin.apk_path, "data_dir": plugin.data_dir}
-    elif kind in LAUNCH_KINDS:  # launches go out under the stub name
-        wire_name = _map_component_out(c, plugin_package, LAUNCH_KINDS[kind], call.name or "")
-        reply = _map_name_back(c, os.syscall(caller, call._replace(name=wire_name)))
+    elif kind in LAUNCH_KINDS:  # launches go out under a stub; an undeclared one takes none
+        launched, name = LAUNCH_KINDS[kind], call.name or ""
+        if record.manifest.component(launched, name) is None:
+            raise ComponentNotRegisteredError.of(launched, name, plugin_package)
+        key = (plugin_package, launched, name)
+        if (stub_name := _stub_out(c, key)) is not None:
+            c.stub_assignments[stub_name] = key
+        reply = _map_name_back(c, os.syscall(caller, call._replace(name=stub_name or name)))
     else:
         reply = os.syscall(caller, call)
         if kind == "get_running_services":  # replies name components by their stub

@@ -22,14 +22,14 @@ A manifest document is a strict JSON object describing a simulated app:
       "native_components": ["webview"]
     }
 
-Parsing is strict: unknown keys anywhere in the document are rejected so
-fixture typos fail loudly. Component names must be unique across all four
-kinds and at most one activity may carry the launcher flag. The constructors
-enforce the parser's type rules: a string collection is never a bare string,
-the version is an integer, a component's name is a non-empty string, its
-launcher and stub flags are booleans, and every other scalar is a string
-(payload and the shortcut resources may also be None). A manifest built in
-code therefore survives serialize_manifest and parse_manifest unchanged.
+The parser checks only the document's shape: objects and lists where the
+schema has them, no unknown key anywhere (so fixture typos fail loudly), a
+package and each component name present, and no null string. The
+constructors check every value: unique component names, at most one
+launcher, a string collection is never a bare string, an integer version,
+boolean launcher and stub flags, and strings elsewhere (payload and the
+shortcut resources may be None). A manifest built in code therefore
+survives serialize_manifest and parse_manifest unchanged.
 
 All types here are immutable; parsing and the extraction queries are pure
 functions, safe to call from any thread.
@@ -184,7 +184,7 @@ class AppManifest:
                 native_components, frozenset, package, "native_components")
         if not isinstance(package, str) or not _PACKAGE_RE.match(package):
             raise SchemaError(f"package must be a reverse-DNS name, got {package!r}")
-        if type(version) is not int:  # as parse_manifest_dict, refuse a bool, float or str
+        if type(version) is not int:  # refuse a bool, float or str
             raise SchemaError(f"version must be an integer, not a {type(version).__name__}")
         if version < 0:
             raise SchemaError("version must be >= 0")
@@ -246,50 +246,48 @@ def _expect(doc: dict, context: str, allowed: frozenset[str]) -> None:
         raise SchemaError(f"{context}: unknown key(s) {sorted(set(doc) - allowed)!r}")
 
 
-def _string(doc: dict, context: str, key: str, default=None, required=False):
+def _value(doc: dict, context: str, key: str, default=None, required=False):
+    """``doc[key]``, or ``default`` when absent. A null is refused: the
+    constructors read None as an absent payload or shortcut resource."""
     if key not in doc:
         if required:
             raise SchemaError(f"{context}: missing required field {key!r}")
         return default
-    value = doc[key]
-    if not isinstance(value, str):
-        raise SchemaError(f"{context}.{key}: expected string, got {type(value).__name__}")
-    return value
+    if doc[key] is None:
+        raise SchemaError(f"{context}.{key}: expected string, got NoneType")
+    return doc[key]
 
 
-def _string_list(doc: dict, context: str, key: str) -> list[str] | tuple[()]:
+def _string_list(doc: dict, context: str, key: str) -> list | tuple[()]:
+    """``doc[key]``, a list whose members the constructors check, or () when it is absent."""
     if key not in doc:
         return ()
-    value = doc[key]
-    if not isinstance(value, list) or not all(map(isinstance, value, repeat(str))):
+    if not isinstance(doc[key], list):
         raise SchemaError(f"{context}.{key}: expected list of strings")
-    return value
+    return doc[key]
 
 
 def _parse_component(entry: object, kind: str, context: str) -> Component:
     if not isinstance(entry, dict):
         raise SchemaError(f"{context}: expected object, got {type(entry).__name__}")
     _expect(entry, context, _ENTRY_KEYS[kind])
-    name = _string(entry, context, "name", required=True)
-    launcher = entry.get("launcher", False)
-    stub = entry.get("stub", False)
-    if not isinstance(launcher, bool) or not isinstance(stub, bool):
-        raise SchemaError(f"{context}.{name}: launcher/stub must be booleans")
-    payload = _string(entry, context, "payload")
-    return Component(name, kind, launcher, _string_list(entry, context, "intents"),
+    return Component(_value(entry, context, "name", required=True), kind,
+                     entry.get("launcher", False), _string_list(entry, context, "intents"),
                      _string_list(entry, context, "requires_permissions") or frozenset(),
-                     payload, stub)
+                     _value(entry, context, "payload"), entry.get("stub", False))
 
 
-def parse_manifest_dict(doc: object) -> AppManifest:
-    """Validate an already-decoded document into an AppManifest."""
+def parse_manifest(text: str) -> AppManifest:
+    """Parse a manifest document, checking only its shape (see the module
+    docstring); the constructors check every value. Raises SchemaError."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"manifest: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"manifest: expected object, got {type(doc).__name__}")
     _expect(doc, "manifest", _MANIFEST_KEYS)
-    package = _string(doc, "manifest", "package", required=True)
-    version = doc.get("version", 0)
-    if not isinstance(version, int) or isinstance(version, bool):
-        raise SchemaError("manifest.version: expected integer")
+    package = _value(doc, "manifest", "package", required=True)
 
     components = doc.get("components", {})
     if not isinstance(components, dict):
@@ -300,8 +298,7 @@ def parse_manifest_dict(doc: object) -> AppManifest:
         entries = components.get(key, [])
         if not isinstance(entries, list):
             raise SchemaError(f"components.{key}: expected list")
-        context = f"components.{key}"
-        parsed.append([_parse_component(e, kind, context) for e in entries])
+        parsed.append([_parse_component(e, kind, f"components.{key}") for e in entries])
 
     resources = doc.get("resources", {})
     if not isinstance(resources, dict):
@@ -309,22 +306,13 @@ def parse_manifest_dict(doc: object) -> AppManifest:
     _expect(resources, "resources", _RESOURCES_KEYS)
 
     return AppManifest(
-        package, _string(doc, "manifest", "label", default=""), version,
+        package, _value(doc, "manifest", "label", ""), doc.get("version", 0),
         _string_list(doc, "manifest", "permissions"),
-        _string_list(doc, "manifest", "features") or frozenset(),
-        *parsed, _string(resources, "resources", "launcher_icon", default="ic_launcher.png"),
-        _string(resources, "resources", "shortcut_icon"),
-        _string(resources, "resources", "shortcut_label"),
+        _string_list(doc, "manifest", "features") or frozenset(), *parsed,
+        _value(resources, "resources", "launcher_icon", "ic_launcher.png"),
+        _value(resources, "resources", "shortcut_icon"),
+        _value(resources, "resources", "shortcut_label"),
         _string_list(doc, "manifest", "native_components") or frozenset())
-
-
-def parse_manifest(text: str) -> AppManifest:
-    """Parse a manifest document. Raises SchemaError on malformed input."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"manifest: not valid JSON ({exc})") from exc
-    return parse_manifest_dict(doc)
 
 
 # The document writer lays values out exactly as json.dumps(doc, indent=2).

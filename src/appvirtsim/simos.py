@@ -70,6 +70,10 @@ class PackageNotFoundError(ApiError):
 class ComponentNotRegisteredError(ApiError):
     reason = "component_not_registered"
 
+    @classmethod
+    def of(cls, kind, name, package: str) -> ComponentNotRegisteredError:
+        return cls(f"{name} is not a registered {kind} of {package}")
+
 
 class PermissionDeniedError(ApiError):
     reason = "permission_denied"
@@ -322,10 +326,7 @@ class SimOs:
         record = self._identity(proc)
         comp = record.manifest.component(call.component_kind or "", call.name or "")
         if comp is None:
-            raise ComponentNotRegisteredError(
-                f"{call.name} is not a registered {call.component_kind} "
-                f"of {proc.owner_package}"
-            )
+            raise ComponentNotRegisteredError.of(call.component_kind, call.name, proc.owner_package)
         return {"component": comp.name, "enabled": True}
 
     def _op_exec_shell(self, proc, call):
@@ -409,9 +410,7 @@ class SimOs:
         kind = LAUNCH_KINDS[call.kind]
         comp = self._identity(proc).manifest.component(kind, call.name or "")
         if comp is None:
-            raise ComponentNotRegisteredError(
-                f"{call.name} is not a registered {kind} of {proc.owner_package}"
-            )
+            raise ComponentNotRegisteredError.of(kind, call.name, proc.owner_package)
         tasks, services = proc.running_task_components, proc.running_services
         if kind == ACTIVITY:
             tasks += ((ACTIVITY, comp.name),)

@@ -35,7 +35,8 @@ ENVIRONMENTS = (NATIVE_ENV, NAIVE_ENV, CLOAKED_ENV)
 
 @dataclass
 class MatrixScenario:
-    """Parsed inputs a matrix run is built from."""
+    """The inputs every command builds its worlds from, checked when built:
+    a victim that shares its package with another input is a SchemaError."""
 
     victim: AppManifest
     template: AppManifest
@@ -46,12 +47,16 @@ class MatrixScenario:
         default_factory=lambda: dict(defaults.DEFAULT_STORE_COUNTS)
     )
 
+    def __post_init__(self) -> None:
+        for role in ("template", "companion", "catalog"):
+            if getattr(self, role).package == self.victim.package:
+                raise SchemaError(f"victim package {self.victim.package!r} is also the {role}'s")
+
 
 def default_scenario(seed: int = defaults.DEFAULT_SEED, victim_path=None,
                      template_path=None, catalog_path=None) -> MatrixScenario:
-    """The built-in scenario; each given manifest path replaces its built-in.
-    A victim that shares its package with another input is a SchemaError."""
-    sc = MatrixScenario(
+    """The built-in scenario; each given manifest path replaces its built-in."""
+    return MatrixScenario(
         victim=load_manifest_file(victim_path) if victim_path else defaults.default_victim(),
         template=(load_manifest_file(template_path)
                   if template_path else defaults.default_template()),
@@ -60,10 +65,6 @@ def default_scenario(seed: int = defaults.DEFAULT_SEED, victim_path=None,
         companion=defaults.default_companion(),
         seed=seed,
     )
-    for role in ("template", "companion", "catalog"):
-        if getattr(sc, role).package == sc.victim.package:
-            raise SchemaError(f"victim package {sc.victim.package!r} is also the {role}'s")
-    return sc
 
 
 @functools.lru_cache(maxsize=1)

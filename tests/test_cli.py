@@ -271,14 +271,30 @@ def test_run_matrix_launcherless_victim(tmp_path, capsys):
     assert_one_error_line(capsys, "no launcher activity declared")
 
 
-@pytest.mark.parametrize("role", ["template", "companion", "catalog"])
-def test_run_matrix_victim_package_clash(tmp_path, capsys, role):
+_CLASHES = [(command, role) for command in ("run-matrix", "build-addon", "bench")
+            for role in ("template", "companion", "catalog")]
+
+
+@pytest.mark.parametrize("command, role", _CLASHES, ids=[
+    role if command == "run-matrix" else f"{command}-{role}" for command, role in _CLASHES])
+def test_run_matrix_victim_package_clash(fixture_paths, tmp_path, capsys, command, role):
+    # Every command builds a MatrixScenario, which refuses the victim.
     package = getattr(defaults, f"default_{role}")().package
-    victim = tmp_path / "victim.json"
+    victim = tmp_path / "corpus" / "victim.json"
+    victim.parent.mkdir()
     victim.write_text(serialize_manifest(defaults.default_victim()).replace(
         defaults.VICTIM_PACKAGE, package), encoding="utf-8")
-    assert run(["run-matrix", "--victim", str(victim)]) == 2
+    out = tmp_path / "addon.json"
+    argv = {
+        "run-matrix": ["--victim", str(victim)],
+        "build-addon": ["--victim", str(victim), "--template", str(fixture_paths["template"]),
+                        "--catalog", str(fixture_paths["catalog"]), "--out", str(out),
+                        "--malicious-out", str(tmp_path / "payload.json")],
+        "bench": ["--corpus", str(victim.parent), "--repeat", "1"],
+    }[command]
+    assert run([command, *argv]) == 2
     assert_one_error_line(capsys, repr(package), f"the {role}'s")
+    assert not out.exists()
 
 
 def test_run_matrix_invariant_violation(capsys, monkeypatch):

@@ -22,6 +22,7 @@ from appvirtsim.container import (
     LOWLEVEL,
     PROXY,
     HookSpec,
+    NoFreeStubError,
     PluginGoneError,
     create_container,
     first_run,
@@ -866,6 +867,28 @@ def test_load_plugin_refuses_a_payload_tag_with_no_store(hosted):
     assert world_signature(os, c) == before
 
 
+def test_load_plugin_is_all_or_nothing():
+    # The cloaked add-on has four activity stubs. A fifth launcher finds none
+    # free, and the load is refused before it spawns, stores or registers
+    # anything; once a kill and a sweep free the stubs, the same manifest loads.
+    world = build_cloaked_world(default_scenario()).fork()
+    os, c = world.os, world.container
+    plugins = [AppManifest(f"org.x.app{i}", activities=(
+        Component(".OwnMain", ACTIVITY, launcher=True),), receivers=(
+        Component(".OwnReceiver", RECEIVER, intents=("org.x.PING",)),)) for i in range(5)]
+    for plugin in plugins[:4]:
+        load_plugin(os, c, plugin)
+    before = world_signature(os.fork(), c.fork())
+    with pytest.raises(NoFreeStubError):
+        load_plugin(os, c, plugins[4])
+    assert world_signature(os, c) == before
+    os.syscall(c.container_pid, ApiCall("kill_background_processes", package=c.addon_package))
+    tick_services(os, c)
+    pid = load_plugin(os, c, plugins[4])
+    assert c.plugins[plugins[4].package].pid == pid and c.foreground_plugin == plugins[4].package
+    assert list(c.stub_assignments.values()) == [(plugins[4].package, ACTIVITY, ".OwnMain")]
+
+
 def test_first_run_refuses_a_payload_tag_with_no_store(victim, template, catalog):
     # A tag outside PAYLOAD_STORES would start, then fail the first sweep.
     os, c, result, _ = build_attack_world(victim, template, catalog)
@@ -1061,15 +1084,17 @@ def _lifecycle_calls() -> list[ApiCall]:
 
 
 class PluginLifecycle(RuleBasedStateMachine):
-    """Loads, kills, sweeps, service restarts and hook changes in any order on
-    a fork of the cloaked world. The one plugin table stays consistent with
-    the OS process table, only ApiErrors cross plugin_syscall, and the
-    exfiltration sink only grows."""
+    """Loads, kills, sweeps, service restarts, hook changes and first runs in
+    any order on a fork of the cloaked world. The one plugin table stays
+    consistent with the OS process table, only ApiErrors cross plugin_syscall,
+    a refused load or first run changes nothing, and the exfiltration sink
+    only grows, by at most one read per running payload service a sweep."""
 
     def __init__(self):
         super().__init__()
         world = _dispatch_worlds()[CLOAKED_ENV][0].fork()
         self.os, self.c = world.os, world.container
+        self.victim, self.payload = world.probe_manifest.package, world.customization.malicious
         self.sink = list(self.os.exfil_sink)
         self.plugin_pids = {record.pid for record in self.c.plugins.values()}
 
@@ -1092,17 +1117,36 @@ class PluginLifecycle(RuleBasedStateMachine):
     def load_first(self, plugin):
         self.load(plugin)
 
+    def signature(self) -> dict:
+        return world_signature(self.os.fork(), self.c.fork())
+
     @rule(plugin=_lifecycle_plugins)
     def load(self, plugin):
+        before = self.signature()
         try:
             load_plugin(self.os, self.c, plugin)
-        except (AlreadyLoadedError, CatalogFetchError, ContainerGoneError):
+        except (AlreadyLoadedError, CatalogFetchError, ContainerGoneError, NoFreeStubError):
+            assert world_signature(self.os, self.c) == before
             return
-        except ApiError:  # the launcher found no free stub; the plugin stays loaded
-            pass
         record = self.c.plugins[plugin.package]
         assert record.manifest is plugin and record.pid in self.os.processes
         self.plugin_pids.add(record.pid)
+
+    @rule()
+    def first_run_again(self):
+        # Refused before its first call while the victim or the payload is
+        # still loaded (dead but not yet reaped included) or the container is dead.
+        packages = (self.payload.package, self.victim)
+        refusal = (ContainerGoneError if self.c.container_pid not in self.os.processes
+                   else AlreadyLoadedError if set(packages) & self.c.plugins.keys() else None)
+        before = self.signature()
+        if refusal is not None:
+            with pytest.raises(refusal):
+                first_run(self.os, self.c, self.victim, self.payload)
+            assert world_signature(self.os, self.c) == before
+            return
+        first_run(self.os, self.c, self.victim, self.payload)
+        self.plugin_pids.update(self.c.plugins[p].pid for p in packages)
 
     @rule(data=st.data())
     def kill(self, data):
@@ -1117,10 +1161,27 @@ class PluginLifecycle(RuleBasedStateMachine):
             self.call(data.draw(st.sampled_from(callers)),
                       ApiCall("kill_background_processes", package=self.c.addon_package))
 
+    def sweep_bound(self) -> int:
+        """The records one read by each running payload service returns, read on a fork."""
+        os, c, bound = self.os.fork(), self.c.fork(), 0
+        for package, record in c.plugins.items():
+            proc = os.processes.get(record.pid)
+            for service in record.manifest.services if proc is not None else ():
+                wire_name = c.component_stub_map.get((package, SERVICE, service.name), service.name)
+                if service.payload is not None and wire_name in proc.running_services:
+                    read = ApiCall("access_resource", store=perms.PAYLOAD_STORES[service.payload])
+                    try:
+                        bound += len(plugin_syscall(os, c, record.pid, read))
+                    except ApiError:
+                        pass
+        return bound
+
     @rule()
     def tick(self):
+        bound, before = self.sweep_bound(), len(self.os.exfil_sink)
         tick_services(self.os, self.c)
         assert all(r.pid in self.os.processes for r in self.c.plugins.values())
+        assert len(self.os.exfil_sink) - before <= bound
 
     @precondition(lambda self: self.live_services())
     @rule(data=st.data())

@@ -84,14 +84,24 @@ REJECTED_DOCUMENTS = [
     ({"package": "a.b", "components": {"activities": [{"name": ".A", "payload": "x"}]}},
      "components.activities: unknown key(s) ['payload']"),
     ({"package": "a.b", "resources": {"splash": "x.png"}}, "resources: unknown key(s) ['splash']"),
-    ({"package": "a.b", "version": "seven"}, "manifest.version: expected integer"),
+    ({"package": "a.b", "version": "seven"}, "version must be an integer, not a str"),
     ({"label": "no package"}, "manifest: missing required field 'package'"),
     ({"package": "NotReverseDns"}, "package must be a reverse-DNS name, got 'NotReverseDns'"),
     ({"package": "a.b", "permissions": "android.permission.INTERNET"},
      "manifest.permissions: expected list of strings"),
     ({"package": "a.b", "components": []}, "manifest.components: expected object"),
     ({"package": "a.b", "components": {"activities": [{"name": ".A", "launcher": 1}]}},
-     "components.activities..A: launcher/stub must be booleans"),
+     ".A: launcher and stub must be booleans"),
+    # The constructors take None for these, so the parser refuses a null.
+    ({"package": "a.b", "components": {"services": [{"name": ".S", "payload": None}]}},
+     "components.services.payload: expected string, got NoneType"),
+    ({"package": "a.b", "resources": {"shortcut_icon": None}},
+     "resources.shortcut_icon: expected string, got NoneType"),
+    ({"package": "a.b", "resources": {"shortcut_label": None}},
+     "resources.shortcut_label: expected string, got NoneType"),
+    # A constructor would take an object's keys as the strings.
+    ({"package": "a.b", "features": {"android.hardware.camera": True}},
+     "manifest.features: expected list of strings"),
 ]
 
 
