@@ -400,6 +400,11 @@ def install_cloaking_hookset(c: ContainerState, victim_package: str) -> None:
 # First run and background services
 
 
+def _warn(c: ContainerState, detail: str) -> None:
+    """Log a warning: the one place the run log's warning entry is shaped."""
+    c.run_log.append({"step": "warning", "detail": detail})
+
+
 def first_run(os: SimOs, c: ContainerState, victim_package: str,
               malicious: AppManifest) -> list[dict]:
     """The add-on's first execution, in order.
@@ -434,10 +439,7 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
     label = addon.shortcut_label or victim_record.manifest.label
     icon = addon.shortcut_icon or victim_record.manifest.launcher_icon
     if (label, icon, c.addon_package) in os.shortcuts:
-        log.append({
-            "step": "warning",
-            "detail": f"shortcut ({label}, {icon}) already exists; creating another",
-        })
+        _warn(c, f"shortcut ({label}, {icon}) already exists; creating another")
     os.syscall(c.container_pid, ApiCall(
         "create_shortcut", label=label, icon=icon, target_package=c.addon_package
     ))
@@ -454,8 +456,7 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
             plugin_syscall(os, c, payload_pid, ApiCall("start_service", name=service.name))
             started.append(service.name)
         except ApiError as exc:
-            log.append({"step": "warning",
-                        "detail": f"service {service.name} failed to start: {exc}"})
+            _warn(c, f"service {service.name} failed to start: {exc}")
     log.append({"step": "start_payload_services", "package": malicious.package,
                 "pid": payload_pid, "services": started})
 
@@ -499,10 +500,7 @@ def tick_services(os: SimOs, c: ContainerState) -> None:
     for package, record in list(c.plugins.items()):
         proc = os.processes.get(record.pid)
         if proc is None:
-            c.run_log.append({
-                "step": "warning",
-                "detail": f"{package}: process {record.pid} is gone; not ticked",
-            })
+            _warn(c, f"{package}: process {record.pid} is gone; not ticked")
             _reap_plugin(os, c, package)
             continue
         services = record.manifest.services
@@ -519,9 +517,6 @@ def tick_services(os: SimOs, c: ContainerState) -> None:
             try:
                 records = plugin_syscall(os, c, record.pid, _STORE_READS[tag])
             except ApiError as exc:
-                c.run_log.append({
-                    "step": "warning",
-                    "detail": f"{service.name}: {PAYLOAD_STORES[tag]} read denied ({exc})",
-                })
+                _warn(c, f"{service.name}: {PAYLOAD_STORES[tag]} read denied ({exc})")
                 continue
             sink.extend(zip(repeat(tag), records))

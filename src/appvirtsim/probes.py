@@ -31,7 +31,7 @@ from .simos import (
     SimOsError,
     StaticReceiverError,
 )
-from .worlds import ENVIRONMENTS, EnvHandle, MatrixScenario, WORLD_BUILDERS, World, seeded_device
+from .worlds import ENVIRONMENTS, EnvHandle, MatrixScenario, WORLD_BUILDERS, World
 
 
 class Verdict(str, enum.Enum):
@@ -403,11 +403,6 @@ def run_probes_on_world(world: World) -> DetectionReport:
 
 def run_matrix(scenario: MatrixScenario,
                environments=ENVIRONMENTS) -> list[DetectionReport]:
-    """Build each environment from one seeded device and run all probes in it.
-    Each build gets its own fork of the device, which this call alone seeds."""
-    device = seeded_device(scenario)
-    reports = []
-    for environment in environments:
-        world = WORLD_BUILDERS[environment](scenario, device=device.fork())
-        reports.append(run_probes_on_world(world))
-    return reports
+    """Build each environment from the scenario alone and run all probes in it."""
+    return [run_probes_on_world(WORLD_BUILDERS[environment](scenario))
+            for environment in environments]

@@ -10,10 +10,11 @@ app's process and declared manifest, and that process's runtime model:
     the victim), the probe app is installed natively, the bypass hookset is
     live, and the first-run sequence has executed.
 
-Worlds are deterministic for a given scenario. Each is built on a
-``seeded_device`` (nothing installed, the scenario's stores filled); a matrix
-seeds one and builds every environment on a fork of it. Callers isolate
-probes from each other by running each on its own ``World.fork``.
+Worlds are deterministic for a given scenario, the one input of a builder.
+Each is built on a ``seeded_device``, a fork of one cached device. The first
+run calls nothing a bypass hook targets, so a cloaked world without some hooks
+is a fork of the built one with them uninstalled. Callers isolate probes from
+each other by running each on its own ``World.fork``.
 """
 
 from __future__ import annotations
@@ -67,27 +68,26 @@ def default_scenario(seed: int = defaults.DEFAULT_SEED, victim_path=None,
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _store_records(seed: int, counts: tuple[tuple[str, int], ...]):
-    """Each store's records for ``seed`` and the sorted ``counts`` items, as tuples."""
-    rng = random.Random(seed)
-    return tuple((store, tuple(f"{store}-{i:03d}-{rng.randrange(16 ** 6):06x}"
-                               for i in range(count))) for store, count in counts)
-
-
 def seed_stores(os: SimOs, counts: dict[str, int], seed: int) -> None:
-    """Fill the data stores with deterministic opaque records. The records of
-    the last (seed, counts) seen are kept, so the next device with the same
-    seed and counts (every device of a run) reuses them."""
-    for store, records in _store_records(seed, tuple(sorted(counts.items()))):
-        os.seed_store(store, records)
+    """Fill the data stores with deterministic opaque records."""
+    rng = random.Random(seed)
+    for store, count in sorted(counts.items()):
+        os.seed_store(store, tuple(f"{store}-{i:03d}-{rng.randrange(16 ** 6):06x}"
+                                   for i in range(count)))
+
+
+@functools.lru_cache(maxsize=1)
+def _pristine_device(seed: int, counts: tuple[tuple[str, int], ...]) -> SimOs:
+    """The device ``seeded_device`` forks; never handed out, so never written to."""
+    os = SimOs()
+    seed_stores(os, dict(counts), seed)
+    return os
 
 
 def seeded_device(sc: MatrixScenario) -> SimOs:
-    """A device with nothing installed and the scenario's data stores filled."""
-    os = SimOs()
-    seed_stores(os, sc.store_counts, sc.seed)
-    return os
+    """A device with nothing installed and the scenario's data stores filled: a
+    fork of the device cached for the last (seed, sorted store counts) seen."""
+    return _pristine_device(sc.seed, tuple(sorted(sc.store_counts.items()))).fork()
 
 
 @dataclass
@@ -145,8 +145,8 @@ def launch_native(os: SimOs, package: str) -> int:
     return pid
 
 
-def build_native_world(sc: MatrixScenario, device: SimOs | None = None) -> World:
-    os = device if device is not None else seeded_device(sc)
+def build_native_world(sc: MatrixScenario) -> World:
+    os = seeded_device(sc)
     os.install(sc.victim)
     pid = launch_native(os, sc.victim.package)
     runtime = artmodel.RuntimeModel(artmodel.NATIVE)
@@ -154,8 +154,8 @@ def build_native_world(sc: MatrixScenario, device: SimOs | None = None) -> World
     return World(NATIVE_ENV, os, pid, sc.victim, runtime)
 
 
-def build_naive_world(sc: MatrixScenario, device: SimOs | None = None) -> World:
-    os = device if device is not None else seeded_device(sc)
+def build_naive_world(sc: MatrixScenario) -> World:
+    os = seeded_device(sc)
     os.install(sc.template)
     c = container.create_container(os, sc.template)
     container.load_plugin(os, c, sc.companion)
@@ -165,14 +165,9 @@ def build_naive_world(sc: MatrixScenario, device: SimOs | None = None) -> World:
     return World(NAIVE_ENV, os, pid, sc.victim, runtime, container=c)
 
 
-def build_cloaked_world(sc: MatrixScenario, drop_hook_labels: tuple[str, ...] = (),
-                        device: SimOs | None = None) -> World:
-    """Customize, install, hook, and execute the first-run sequence.
-
-    ``drop_hook_labels`` builds degraded variants for measuring what each
-    bypass hook contributes; ``CLOAK_HOOK_LABELS`` drops the whole hookset.
-    """
-    os = device if device is not None else seeded_device(sc)
+def build_cloaked_world(sc: MatrixScenario) -> World:
+    """Customize, install, hook, and execute the first-run sequence."""
+    os = seeded_device(sc)
     os.install(sc.victim)
     launch_native(os, sc.victim.package)
 
@@ -180,8 +175,6 @@ def build_cloaked_world(sc: MatrixScenario, drop_hook_labels: tuple[str, ...] = 
     os.install(result.addon)
     c = container.create_container(os, result.addon)
     container.install_cloaking_hookset(c, sc.victim.package)
-    if drop_hook_labels:
-        container.uninstall_hooks(c, drop_hook_labels)
 
     container.first_run(os, c, sc.victim.package, result.malicious)
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from appvirtsim import defaults
+from appvirtsim.container import uninstall_hooks
 from appvirtsim.manifest import write_manifest_file
 from appvirtsim.worlds import default_scenario
 
@@ -43,6 +44,13 @@ def fixture_paths(tmp_path, victim, template):
     write_manifest_file(paths["template"], template)
     write_manifest_file(paths["catalog"], defaults.default_catalog())
     return paths
+
+
+def unhooked(world, labels):
+    """A fork of ``world`` with the hooks labelled ``labels`` uninstalled."""
+    fork = world.fork()
+    uninstall_hooks(fork.container, labels)
+    return fork
 
 
 def load_golden(name: str) -> dict:

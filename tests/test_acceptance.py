@@ -40,7 +40,7 @@ from appvirtsim.worlds import (
     build_native_world,
     default_scenario,
 )
-from conftest import load_golden
+from conftest import load_golden, unhooked
 from raw_oracles import ORACLES
 from test_oracle_equivalence import random_world
 
@@ -114,7 +114,7 @@ def test_criterion_3_uid_and_path_semantics():
                 seed=seed,
                 store_counts=dict(DEFAULT_STORE_COUNTS),
             )
-            world = build_cloaked_world(scenario, drop_hook_labels=CLOAK_HOOK_LABELS)
+            world = unhooked(build_cloaked_world(scenario), CLOAK_HOOK_LABELS)
             os, c = world.os, world.container
             addon_uid = os.registry[c.addon_package].uid
             assert c.plugin_processes, "first run loaded no plugins"
@@ -137,13 +137,12 @@ def test_criterion_4_hook_monotonicity():
     with criterion(4, "hookset removal flips {7,8,9,11,12}; exec hook alone flips {8}"):
         golden = load_golden("expected_hook_flips.json")
         scenario = default_scenario()
-        hooked = run_probes_on_world(build_cloaked_world(scenario)).verdicts()
-        unhooked = run_probes_on_world(
-            build_cloaked_world(scenario, drop_hook_labels=CLOAK_HOOK_LABELS)).verdicts()
-        no_exec = run_probes_on_world(
-            build_cloaked_world(scenario, drop_hook_labels=(HOOK_EXEC_PS,))).verdicts()
+        world = build_cloaked_world(scenario)
+        hooked = run_probes_on_world(world).verdicts()
+        bare = run_probes_on_world(unhooked(world, CLOAK_HOOK_LABELS)).verdicts()
+        no_exec = run_probes_on_world(unhooked(world, (HOOK_EXEC_PS,))).verdicts()
 
-        flips_all = sorted((p for p in PROBE_IDS if hooked[p] != unhooked[p]),
+        flips_all = sorted((p for p in PROBE_IDS if hooked[p] != bare[p]),
                            key=lambda p: int(p) if p.isdigit() else 99)
         flips_exec = sorted((p for p in PROBE_IDS if hooked[p] != no_exec[p]),
                             key=lambda p: int(p) if p.isdigit() else 99)
@@ -151,7 +150,7 @@ def test_criterion_4_hook_monotonicity():
         assert flips_exec == golden["remove_exec_hook_only"], flips_exec
         for probe_id in flips_all:
             assert hooked[probe_id] == "clean"
-            assert unhooked[probe_id] == "virtual_detected"
+            assert bare[probe_id] == "virtual_detected"
 
 
 def test_criterion_5_exfiltration_soundness():

@@ -102,6 +102,11 @@ def test_hybrid_linearity(loops):
     assert loops == [] or rt.method("m").hotness_count == expected
 
 
+def test_unknown_environment_kind_rejected():
+    with pytest.raises(ValueError, match="unknown environment kind: 'bogus'"):
+        RuntimeModel("bogus")
+
+
 def test_negative_loop_count_rejected():
     rt = RuntimeModel(NATIVE)
     with pytest.raises(ValueError):

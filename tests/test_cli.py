@@ -196,6 +196,17 @@ def test_run_matrix_misshapen_golden_rejected(tmp_path, capsys, golden):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not-json"])
+def test_run_matrix_unreadable_golden_rejected(tmp_path, capsys, text):
+    path = tmp_path / "golden.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    code = run(["run-matrix", "--mode", "native", "--out", str(tmp_path / "r.json"),
+                "--expect", str(path)])
+    assert code == 2
+    assert_one_error_line(capsys, "cannot read golden file")
+
+
 def test_run_matrix_unwritable_out(tmp_path, capsys):
     code = run(["run-matrix", "--mode", "native",
                 "--out", str(tmp_path / "missing" / "r.json")])

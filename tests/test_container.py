@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -23,6 +24,7 @@ from appvirtsim.container import (
     PROXY,
     HookSpec,
     NoFreeStubError,
+    NotAPluginError,
     PluginGoneError,
     create_container,
     first_run,
@@ -62,6 +64,7 @@ from appvirtsim.worlds import (
     default_scenario,
     launch_native,
     seed_stores,
+    seeded_device,
 )
 from reference_dispatch import ReferenceDispatch, reference_world, shared_tables
 
@@ -337,6 +340,22 @@ def test_hook_on_unknown_target_rejected():
         HookSpec(LOWLEVEL, "read_proc_map", REPLACE, lambda call: [])
 
 
+@pytest.mark.parametrize("layer, mode, message", [
+    ("kernel", REPLACE, "unknown hook layer: 'kernel'"),
+    (LOWLEVEL, "around", "unknown hook mode: 'around'"),
+])
+def test_hook_with_unknown_layer_or_mode_rejected(layer, mode, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        HookSpec(layer, "read_proc_maps", mode, lambda call: [])
+
+
+def test_plugin_call_from_the_container_process_refused(hosted):
+    # A live process of the add-on that is no plugin's cannot make plugin calls.
+    os, c = hosted
+    with pytest.raises(NotAPluginError, match=f"pid {c.container_pid} is not a plugin process"):
+        plugin_syscall(os, c, c.container_pid, ApiCall("get_installed_packages"))
+
+
 def test_duplicate_hooks_compose(hosted, victim):
     os, c = hosted
     pid = load_plugin(os, c, victim)
@@ -425,21 +444,33 @@ def _fresh_records(counts, seed) -> dict:
             for store in sorted(counts)}
 
 
-def test_seed_stores_matches_a_fresh_generation_whatever_came_before():
+def test_seed_stores_matches_a_fresh_generation_whatever_came_before(scenario):
     a = dict(DEFAULT_STORE_COUNTS)
     b = {"contacts": 4, "sms": 1}
     devices = []
     for seed, counts in ((7, a), (7, b), (7, a), (8, a), (8, a)):
-        os = SimOs()
-        seed_stores(os, counts, seed)
+        os = seeded_device(replace(scenario, seed=seed, store_counts=counts))
         expected = _fresh_records(counts, seed)
         for store, records in os.data_stores.items():
             assert type(records) is tuple
             assert list(records) == expected.get(store, [])
         devices.append(os)
     # The last two devices share one seed and one set of counts: the second
-    # reuses the first's records instead of generating them again.
+    # forks the device cached for the first instead of seeding again.
     assert all(devices[3].data_stores[s] is devices[4].data_stores[s] for s in a)
+
+
+def test_seeded_devices_share_records_and_start_pristine(scenario):
+    # Every device of a scenario forks one cached device, so two share their
+    # record tuples; a build writes to its own fork, never to that device.
+    first = seeded_device(scenario)
+    first.mkdir("/data/local/tmp")
+    build_cloaked_world(scenario)
+    second = seeded_device(scenario)
+    assert all(first.data_stores[s] is second.data_stores[s] for s in first.data_stores)
+    fresh = SimOs()
+    seed_stores(fresh, scenario.store_counts, scenario.seed)
+    assert world_signature(second, None) == world_signature(fresh, None)
 
 
 def test_plugin_data_dir_with_no_hooks(hosted, victim, template):
@@ -467,6 +498,14 @@ def build_attack_world(victim, template, catalog, seed_counts=True):
     c = create_container(os, result.addon)
     install_cloaking_hookset(c, victim.package)
     return os, c, result, result.malicious
+
+
+def test_first_run_refuses_a_victim_that_is_not_installed(victim, template, catalog):
+    os, c, result, payload = build_attack_world(victim, template, catalog)
+    before = world_signature(os.fork(), c.fork())
+    with pytest.raises(UnknownPackageError, match="victim org.absent.app is not installed"):
+        first_run(os, c, "org.absent.app", payload)
+    assert world_signature(os, c) == before
 
 
 def test_first_run_sequence(victim, template, catalog):
@@ -1049,7 +1088,8 @@ def test_dispatch_answers_to_the_reference(data):
 # Plugin lifecycle as a state machine
 
 
-_LIFECYCLE_PACKAGES = ("org.lifecycle.app0", "org.lifecycle.app1", "org.victim.app")
+_LIFECYCLE_PACKAGES = ("org.lifecycle.app0", "org.lifecycle.app1", "org.lifecycle.app2",
+                       "org.victim.app")
 # Two tags with a store and one without, which load_plugin refuses.
 _PAYLOAD_TAGS = (None, "contacts", "sms", "calendar")
 
@@ -1060,12 +1100,15 @@ def _unique_components(kind: str, names, **fields):
                               **fields), max_size=len(names), unique_by=lambda comp: comp.name)
 
 
-# Names the add-on declares verbatim, and names that need one of its stubs.
+_OWN_MAIN = Component(".OwnMain", ACTIVITY, launcher=True)
+# Names the add-on declares verbatim, and names that need one of its stubs;
+# the last activity set needs five stubs, one more than the add-on has.
 _lifecycle_plugins = st.builds(
     AppManifest,
     package=st.sampled_from(_LIFECYCLE_PACKAGES),
-    activities=st.sampled_from(((), (Component(".OwnMain", ACTIVITY, launcher=True),),
-                                (Component(".MainActivity", ACTIVITY, launcher=True),))),
+    activities=st.sampled_from(((), (_OWN_MAIN,),
+                                (Component(".MainActivity", ACTIVITY, launcher=True),),
+                                (_OWN_MAIN, *(Component(f".Own{i}", ACTIVITY) for i in range(4))))),
     services=_unique_components(SERVICE, (".SyncService", "QuickChatContactsService", ".Own"),
                                 payload=st.sampled_from(_PAYLOAD_TAGS)),
     receivers=_unique_components(RECEIVER, (".MsgReceiver", ".OwnReceiver"),
@@ -1087,8 +1130,9 @@ class PluginLifecycle(RuleBasedStateMachine):
     """Loads, kills, sweeps, service restarts, hook changes and first runs in
     any order on a fork of the cloaked world. The one plugin table stays
     consistent with the OS process table, only ApiErrors cross plugin_syscall,
-    a refused load or first run changes nothing, and the exfiltration sink
-    only grows, by at most one read per running payload service a sweep."""
+    a refused load (with every activity stub taken included) or first run
+    changes nothing, and the exfiltration sink only grows, by at most one read
+    per running payload service a sweep."""
 
     def __init__(self):
         super().__init__()
@@ -1131,6 +1175,10 @@ class PluginLifecycle(RuleBasedStateMachine):
         record = self.c.plugins[plugin.package]
         assert record.manifest is plugin and record.pid in self.os.processes
         self.plugin_pids.add(record.pid)
+        # The plugin opens each of its activities; each that needs a stub holds
+        # one until the plugin is reaped, so stubs can run out.
+        for activity in plugin.activities:
+            self.call(record.pid, ApiCall("start_activity", name=activity.name))
 
     @rule()
     def first_run_again(self):
@@ -1211,6 +1259,18 @@ class PluginLifecycle(RuleBasedStateMachine):
     @rule(labels=st.frozensets(st.sampled_from(_HOOK_LABELS + CLOAK_HOOK_LABELS)))
     def uninstall(self, labels):
         uninstall_hooks(self.c, labels)
+
+    @precondition(lambda self: self.c.container_pid in self.os.processes and all(
+        s.name in self.c.stub_assignments for s in self.c.stub_components if s.kind == ACTIVITY))
+    @invariant()
+    def full_stubs_refuse_a_load(self):
+        # With every activity stub taken, a launcher that needs one loads
+        # nothing: tried on a fork, so the machine's state stays as it is.
+        os, c = self.os.fork(), self.c.fork()
+        before = world_signature(os.fork(), c.fork())
+        with pytest.raises(NoFreeStubError):
+            load_plugin(os, c, AppManifest("org.lifecycle.late", activities=(_OWN_MAIN,)))
+        assert world_signature(os, c) == before
 
     @invariant()
     def dead_plugins_are_gone(self):

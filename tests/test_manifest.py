@@ -102,6 +102,13 @@ REJECTED_DOCUMENTS = [
     # A constructor would take an object's keys as the strings.
     ({"package": "a.b", "features": {"android.hardware.camera": True}},
      "manifest.features: expected list of strings"),
+    ([{"package": "a.b"}], "manifest: expected object, got list"),
+    ({"package": "a.b", "components": {"activities": [".A"]}},
+     "components.activities: expected object, got str"),
+    ({"package": "a.b", "components": {"services": {"name": ".S"}}},
+     "components.services: expected list"),
+    ({"package": "a.b", "resources": ["icon.png"]}, "manifest.resources: expected object"),
+    ({"package": "a.b", "version": -1}, "version must be >= 0"),
 ]
 
 
@@ -110,6 +117,12 @@ REJECTED_DOCUMENTS = [
 def test_strict_schema_rejects(doc, message):
     with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
         parse_manifest(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", ["", "not json", '{"package": "a.b",'])
+def test_non_json_text_rejected(text):
+    with pytest.raises(SchemaError, match="^manifest: not valid JSON "):
+        parse_manifest(text)
 
 
 # Values parse_manifest refuses, built in code; each was accepted, split into

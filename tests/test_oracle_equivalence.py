@@ -23,6 +23,7 @@ from appvirtsim.worlds import (
     build_naive_world,
     build_native_world,
 )
+from conftest import unhooked
 from raw_oracles import ORACLES
 
 WORLDS_PER_MECHANISM = 50
@@ -87,7 +88,7 @@ def random_world(seed: int):
     if kind == "naive":
         return build_naive_world(scenario)
     dropped = tuple(l for l in CLOAK_HOOK_LABELS if rng.random() < 0.3)
-    return build_cloaked_world(scenario, drop_hook_labels=dropped)
+    return unhooked(build_cloaked_world(scenario), dropped)
 
 
 @pytest.mark.parametrize("mechanism", sorted(ORACLES, key=int))

@@ -8,7 +8,7 @@ from dataclasses import fields, is_dataclass, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from appvirtsim import worlds
+from appvirtsim import container, worlds
 from appvirtsim.container import (
     CLOAK_HOOK_LABELS,
     HOOK_DATA_DIR,
@@ -48,7 +48,7 @@ from appvirtsim.worlds import (
     build_naive_world,
     build_native_world,
 )
-from conftest import load_golden
+from conftest import load_golden, unhooked
 
 
 @pytest.fixture(scope="module")
@@ -184,11 +184,13 @@ def test_matrix_leaves_each_world_unprobed(scenario):
 
 
 def test_matrix_seeds_one_device(scenario, monkeypatch):
-    # The data stores are seeded once per matrix; every environment is
-    # built on a fork of that one device.
+    # Two matrices on one scenario seed the data stores once: every
+    # environment of both is built on a fork of that one cached device.
+    worlds._pristine_device.cache_clear()
     seeded = []
     real = worlds.seed_stores
     monkeypatch.setattr(worlds, "seed_stores", lambda *args: seeded.append(args) or real(*args))
+    run_matrix(scenario)
     run_matrix(scenario)
     assert len(seeded) == 1
 
@@ -197,8 +199,8 @@ def test_one_environment_builds_one_world(scenario, monkeypatch):
     # What ``run-matrix --mode native`` runs: only the native world is built.
     built = []
     for env, builder in list(WORLD_BUILDERS.items()):
-        monkeypatch.setitem(WORLD_BUILDERS, env, lambda sc, device=None, env=env, build=builder:
-                            built.append(env) or build(sc, device=device))
+        monkeypatch.setitem(WORLD_BUILDERS, env, lambda sc, env=env, build=builder:
+                            built.append(env) or build(sc))
     reports = run_matrix(scenario, (NATIVE_ENV,))
     assert built == [NATIVE_ENV]
     assert [r.environment for r in reports] == [NATIVE_ENV]
@@ -354,14 +356,26 @@ def test_matrix_summary_counts(scenario):
 
 def test_hook_monotonicity(scenario):
     golden = load_golden("expected_hook_flips.json")
-    hooked = run_probes_on_world(build_cloaked_world(scenario)).verdicts()
-    unhooked = run_probes_on_world(
-        build_cloaked_world(scenario, drop_hook_labels=CLOAK_HOOK_LABELS)).verdicts()
-    flipped = sorted((p for p in PROBE_IDS if hooked[p] != unhooked[p]), key=int)
+    world = build_cloaked_world(scenario)
+    hooked = run_probes_on_world(world).verdicts()
+    bare = run_probes_on_world(unhooked(world, CLOAK_HOOK_LABELS)).verdicts()
+    flipped = sorted((p for p in PROBE_IDS if hooked[p] != bare[p]), key=int)
     assert flipped == golden["remove_all_cloaking_hooks"]
     for probe_id in flipped:
         assert hooked[probe_id] == "clean"
-        assert unhooked[probe_id] == "virtual_detected"
+        assert bare[probe_id] == "virtual_detected"
+
+
+def test_cloaked_build_calls_no_hooked_kind(scenario, monkeypatch):
+    # A cloaked world without some hooks is a fork of the built one with
+    # them uninstalled only while the build calls nothing a hook targets.
+    kinds = []
+    real = container.plugin_syscall
+    monkeypatch.setattr(container, "plugin_syscall",
+                        lambda os, c, pid, call: kinds.append(call.kind) or real(os, c, pid, call))
+    world = build_cloaked_world(scenario)
+    assert kinds
+    assert not set(kinds) & world.container.hooks_by_target.keys(), kinds
 
 
 def test_unknown_probe_id_rejected(worlds_by_env):
@@ -420,11 +434,11 @@ def test_per_hook_flip_law_over_corpus_victims():
         if index % 2:
             victim = replace(victim, native_components=frozenset({"webview"}))
         scenario = MatrixScenario(victim, template, catalog, companion, seed=index)
-        hooked = run_probes_on_world(build_cloaked_world(scenario)).verdicts()
+        world = build_cloaked_world(scenario)
+        hooked = run_probes_on_world(world).verdicts()
 
         def flipped(dropped):
-            world = build_cloaked_world(scenario, drop_hook_labels=dropped)
-            verdicts = run_probes_on_world(world).verdicts()
+            verdicts = run_probes_on_world(unhooked(world, dropped)).verdicts()
             return {p for p in PROBE_IDS if verdicts[p] != hooked[p]}
 
         for label, cells in HOOK_FLIPS.items():
