@@ -31,7 +31,7 @@ from .simos import (
     SimOsError,
     StaticReceiverError,
 )
-from .worlds import ENVIRONMENTS, EnvHandle, MatrixScenario, WORLD_BUILDERS, World
+from .worlds import ENVIRONMENTS, EnvHandle, MatrixScenario, World, unprobed_world
 
 
 class Verdict(str, enum.Enum):
@@ -62,7 +62,8 @@ class DetectionReport:
 
     environment: str
     outcomes: list[ProbeOutcome] = field(default_factory=list)
-    # The unprobed world the probes ran on forks of.
+    # A fork of the scenario's cached build, which the probes ran on forks
+    # of: unprobed, and the caller's to change.
     world: World | None = field(default=None, repr=False, compare=False)
 
     def verdicts(self) -> dict[str, str]:
@@ -403,6 +404,6 @@ def run_probes_on_world(world: World) -> DetectionReport:
 
 def run_matrix(scenario: MatrixScenario,
                environments=ENVIRONMENTS) -> list[DetectionReport]:
-    """Build each environment from the scenario alone and run all probes in it."""
-    return [run_probes_on_world(WORLD_BUILDERS[environment](scenario))
+    """Run all probes in each environment's world, built once per scenario."""
+    return [run_probes_on_world(unprobed_world(scenario, environment))
             for environment in environments]

@@ -13,8 +13,9 @@ app's process and declared manifest, and that process's runtime model:
 Worlds are deterministic for a given scenario, the one input of a builder.
 Each is built on a ``seeded_device``, a fork of one cached device. The first
 run calls nothing a bypass hook targets, so a cloaked world without some hooks
-is a fork of the built one with them uninstalled. Callers isolate probes from
-each other by running each on its own ``World.fork``.
+is a fork of the built one with them uninstalled. ``unprobed_world`` caches
+each environment's build per scenario and hands out forks of it; callers
+isolate probes from each other by running each on its own ``World.fork``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import artmodel, container, defaults
 from .customization import CustomizationResult, check_catalog, customize
@@ -34,24 +36,30 @@ CLOAKED_ENV = "cloaked_container"
 ENVIRONMENTS = (NATIVE_ENV, NAIVE_ENV, CLOAKED_ENV)
 
 
-@dataclass
+_DEFAULT_COUNTS = MappingProxyType(dict(defaults.DEFAULT_STORE_COUNTS))  # shared, read-only
+
+
+@dataclass(frozen=True, slots=True)
 class MatrixScenario:
     """The inputs every command builds its worlds from, checked when built:
-    a victim that shares its package with another input is a SchemaError."""
+    a victim that shares its package with another input is a SchemaError.
+    Frozen, with a read-only copy of ``store_counts``, so nothing changes after
+    the check and ``unprobed_world`` can key on identity."""
 
     victim: AppManifest
     template: AppManifest
     catalog: AppManifest
     companion: AppManifest
     seed: int = defaults.DEFAULT_SEED
-    store_counts: dict[str, int] = field(
-        default_factory=lambda: dict(defaults.DEFAULT_STORE_COUNTS)
-    )
+    store_counts: MappingProxyType[str, int] = field(default_factory=lambda: _DEFAULT_COUNTS)
 
     def __post_init__(self) -> None:
-        for role in ("template", "companion", "catalog"):
-            if getattr(self, role).package == self.victim.package:
-                raise SchemaError(f"victim package {self.victim.package!r} is also the {role}'s")
+        others = (self.template.package, self.companion.package, self.catalog.package)
+        if self.victim.package in others:
+            role = ("template", "companion", "catalog")[others.index(self.victim.package)]
+            raise SchemaError(f"victim package {self.victim.package!r} is also the {role}'s")
+        if self.store_counts is not _DEFAULT_COUNTS:
+            object.__setattr__(self, "store_counts", MappingProxyType(dict(self.store_counts)))
 
 
 def default_scenario(seed: int = defaults.DEFAULT_SEED, victim_path=None,
@@ -190,3 +198,15 @@ WORLD_BUILDERS = {
     NAIVE_ENV: build_naive_world,
     CLOAKED_ENV: build_cloaked_world,
 }
+
+# Environment -> (last scenario seen, held so that no other gets its id; its build).
+_unprobed: dict[str, tuple[MatrixScenario, World]] = {}
+
+
+def unprobed_world(sc: MatrixScenario, environment: str) -> World:
+    """A fork of the ``environment`` world built for ``sc``: each environment
+    keeps the build for the last scenario it saw, and never hands it out."""
+    cached = _unprobed.get(environment)
+    if cached is None or cached[0] is not sc:
+        cached = _unprobed[environment] = (sc, WORLD_BUILDERS[environment](sc))
+    return cached[1].fork()

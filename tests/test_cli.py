@@ -7,6 +7,7 @@ import pytest
 from appvirtsim import container, customization, defaults
 from appvirtsim.cli import (
     HOOK_DISPATCH_CALLS,
+    build_report_document,
     compare_to_golden,
     main,
     scenario_digest,
@@ -19,7 +20,7 @@ from appvirtsim.manifest import (
     serialize_manifest,
     write_manifest_file,
 )
-from appvirtsim.probes import DetectionReport, ProbeOutcome, Verdict
+from appvirtsim.probes import DetectionReport, ProbeOutcome, Verdict, run_matrix
 from conftest import DATA_DIR, load_golden
 
 GOLDEN = str(DATA_DIR / "expected_matrix.json")
@@ -327,6 +328,14 @@ def test_run_matrix_deterministic_modulo_durations(tmp_path):
     a = _strip_durations(json.loads(first.read_text()))
     b = _strip_durations(json.loads(second.read_text()))
     assert a == b
+
+
+def test_a_cached_matrix_reports_like_a_fresh_one(scenario):
+    # The first matrix on a scenario builds its worlds, the second forks them.
+    miss = build_report_document(scenario, run_matrix(scenario))
+    hit = build_report_document(scenario, run_matrix(scenario))
+    assert miss["run_log"] and miss["customization_steps"]
+    assert _strip_durations(hit) == _strip_durations(miss)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import functools
 import random
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +43,7 @@ from appvirtsim.manifest import (
     SERVICE,
     AppManifest,
     Component,
+    SchemaError,
 )
 from appvirtsim.simos import (
     API_KINDS,
@@ -471,6 +472,30 @@ def test_seeded_devices_share_records_and_start_pristine(scenario):
     fresh = SimOs()
     seed_stores(fresh, scenario.store_counts, scenario.seed)
     assert world_signature(second, None) == world_signature(fresh, None)
+
+
+def test_a_scenario_cannot_change_after_its_check(scenario):
+    with pytest.raises(FrozenInstanceError):
+        scenario.victim = scenario.template
+    with pytest.raises(TypeError):
+        scenario.store_counts["contacts"] = 9
+
+
+def test_a_scenario_copies_the_counts_it_is_given(scenario):
+    counts = {"contacts": 4}
+    sc = replace(scenario, store_counts=counts)
+    counts["contacts"] = 9
+    counts["sms"] = 1
+    assert dict(sc.store_counts) == {"contacts": 4}
+    with pytest.raises(TypeError):
+        sc.store_counts["contacts"] = 9
+
+
+@pytest.mark.parametrize("role", ["template", "companion", "catalog"])
+def test_a_replaced_scenario_checks_its_roles_again(scenario, role):
+    clash = replace(getattr(scenario, role), package=scenario.victim.package)
+    with pytest.raises(SchemaError, match=f"is also the {role}'s"):
+        replace(scenario, **{role: clash})
 
 
 def test_plugin_data_dir_with_no_hooks(hosted, victim, template):

@@ -206,6 +206,61 @@ def test_one_environment_builds_one_world(scenario, monkeypatch):
     assert [r.environment for r in reports] == [NATIVE_ENV]
 
 
+def counted_builds(monkeypatch) -> list[str]:
+    """The environments built from now on, in build order."""
+    built = []
+    for env, builder in list(WORLD_BUILDERS.items()):
+        monkeypatch.setitem(WORLD_BUILDERS, env, lambda sc, env=env, build=builder:
+                            built.append(env) or build(sc))
+    return built
+
+
+def test_two_matrices_on_one_scenario_build_each_world_once(scenario, monkeypatch):
+    built = counted_builds(monkeypatch)
+    first, second = run_matrix(scenario), run_matrix(scenario)
+    assert built == list(ENVIRONMENTS)
+    assert [r.outcomes for r in first] == [r.outcomes for r in second]
+
+
+def test_a_replaced_scenario_is_built_again(scenario, monkeypatch):
+    # The cache keys on identity: an equal scenario is still another one.
+    built = counted_builds(monkeypatch)
+    run_matrix(scenario)
+    equal = replace(scenario)
+    assert equal == scenario
+    run_matrix(equal)
+    assert built == list(ENVIRONMENTS) * 2
+
+
+def test_a_full_matrix_builds_only_the_worlds_not_yet_built(scenario, monkeypatch):
+    built = counted_builds(monkeypatch)
+    run_matrix(scenario, (NATIVE_ENV,))
+    assert built == [NATIVE_ENV]
+    run_matrix(scenario)
+    assert built == [NATIVE_ENV, NAIVE_ENV, CLOAKED_ENV]
+
+
+def test_writing_into_a_report_world_leaves_the_next_matrix_alone(scenario):
+    # A report's world is a fork of the cached build, so the caller may
+    # change it: unhook, tick, kill the container, touch the file system.
+    for report in run_matrix(scenario):
+        world, c = report.world, report.world.container
+        before = world_state(world)
+        world.os.mkdir("/data/local/tmp/written")
+        if c is not None:
+            container.uninstall_hooks(c, [h.label for h in c.hooks])
+            tick_services(world.os, c)
+            world.os.syscall(world.probe_pid, ApiCall("kill_background_processes",
+                                                      package=c.addon_package))
+            assert c.container_pid not in world.os.processes
+        assert world_state(world) != before
+    fresh = {env: build(scenario) for env, build in WORLD_BUILDERS.items()}
+    again = run_matrix(scenario)
+    assert ([r.outcomes for r in again]
+            == [run_probes_on_world(fresh[env]).outcomes for env in ENVIRONMENTS])
+    assert [world_state(r.world) for r in again] == [world_state(fresh[env]) for env in ENVIRONMENTS]
+
+
 def test_second_first_run_changes_nothing(worlds_by_env):
     # A repeated first run is refused before its first system call: no
     # second shortcut, no killed process, no run-log entry.
