@@ -21,6 +21,7 @@ from appvirtsim.manifest import (
     write_manifest_file,
 )
 from appvirtsim.probes import DetectionReport, ProbeOutcome, Verdict, run_matrix
+import output_digests
 from conftest import DATA_DIR, load_golden
 
 GOLDEN = str(DATA_DIR / "expected_matrix.json")
@@ -509,3 +510,13 @@ def test_bench_repeat_count_only_affects_durations(tmp_path):
     assert [r["package"] for r in a["per_manifest"]] == [
         r["package"] for r in b["per_manifest"]
     ]
+
+
+# ---------------------------------------------------------------------------
+# committed outputs
+
+
+def test_outputs_match_their_committed_digests():
+    # Regenerate with ``python3 tests/output_digests.py`` only when an output
+    # is meant to change.
+    assert output_digests.compute() == json.loads(output_digests.DIGESTS.read_text())
