@@ -115,20 +115,15 @@ def _render_table(reports: list[probes.DetectionReport]) -> str:
 
 def build_report_document(sc: worlds.MatrixScenario,
                           reports: list[probes.DetectionReport]) -> dict:
-    # Taken from the last environment that has them; only the cloaked one does.
-    run_log = step_report = None
-    for report in reports:
-        world = report.world
-        if world.container is not None and world.container.run_log:
-            run_log = list(world.container.run_log)
-        if world.customization is not None:
-            step_report = list(world.customization.report)
+    # The run log and step report belong to the scenario's cloaked build.
+    cloaked = (worlds.unprobed_world(sc, worlds.CLOAKED_ENV)
+               if any(r.environment == worlds.CLOAKED_ENV for r in reports) else None)
     return {
         "tool": {"name": "appvirtsim", "version": __version__},
         "scenario_digest": scenario_digest(sc),
         "environments": [r.to_dict() for r in reports],
-        "run_log": run_log or [],
-        "customization_steps": step_report or [],
+        "run_log": cloaked.container.run_log if cloaked else [],
+        "customization_steps": list(cloaked.customization.report) if cloaked else [],
     }
 
 
@@ -240,7 +235,7 @@ def _bench_hook_dispatch(sc: worlds.MatrixScenario) -> dict:
                 pass
         return (time.perf_counter() - start) / HOOK_DISPATCH_CALLS * 1e6
 
-    hooked = worlds.build_cloaked_world(sc)
+    hooked = worlds.unprobed_world(sc, worlds.CLOAKED_ENV)
     bare = hooked.fork()
     container.uninstall_hooks(bare.container, container.CLOAK_HOOK_LABELS)
     measure(bare)  # warm-up

@@ -58,13 +58,11 @@ class ProbeOutcome:
 
 @dataclass
 class DetectionReport:
-    """All verdicts for one environment."""
+    """All verdicts for one environment, and nothing else: the world they
+    came from stays with ``worlds.unprobed_world``."""
 
     environment: str
     outcomes: list[ProbeOutcome] = field(default_factory=list)
-    # A fork of the scenario's cached build, which the probes ran on forks
-    # of: unprobed, and the caller's to change.
-    world: World | None = field(default=None, repr=False, compare=False)
 
     def verdicts(self) -> dict[str, str]:
         return {o.probe: o.verdict.value for o in self.outcomes}
@@ -396,10 +394,8 @@ def run_probe(handle: EnvHandle, probe_id: str) -> ProbeOutcome:
 
 def run_probes_on_world(world: World) -> DetectionReport:
     """Run every probe against fresh forks of one world, one fork per probe."""
-    report = DetectionReport(environment=world.environment, world=world)
-    for probe_id in PROBE_IDS:
-        report.outcomes.append(run_probe(EnvHandle(world.fork()), probe_id))
-    return report
+    return DetectionReport(world.environment, [run_probe(EnvHandle(world.fork()), probe_id)
+                                               for probe_id in PROBE_IDS])
 
 
 def run_matrix(scenario: MatrixScenario,

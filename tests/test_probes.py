@@ -47,6 +47,7 @@ from appvirtsim.worlds import (
     build_cloaked_world,
     build_naive_world,
     build_native_world,
+    unprobed_world,
 )
 from conftest import load_golden, unhooked
 
@@ -159,12 +160,13 @@ def world_state(world):
         "exfil_sink": os.exfil_sink,
         "shortcuts": os.shortcuts,
         "fs_dirs": os.fs_dirs,
-        "plugin_manifests": c and c.plugin_manifests,
-        "plugin_pids": c and c.plugin_processes,
-        "plugin_apk_paths": c and c.plugin_apk_paths,
-        "plugin_data_dirs": c and c.plugin_data_dirs,
+        # The read-only views as dicts, so that a state can be deep-copied.
+        "plugin_manifests": c and dict(c.plugin_manifests),
+        "plugin_pids": c and dict(c.plugin_processes),
+        "plugin_apk_paths": c and dict(c.plugin_apk_paths),
+        "plugin_data_dirs": c and dict(c.plugin_data_dirs),
         "stub_assignments": c and c.stub_assignments,
-        "component_stub_map": c and c.component_stub_map,
+        "component_stub_map": c and dict(c.component_stub_map),
         "foreground_plugin": c and c.foreground_plugin,
         "hook_labels": c and [h.label for h in c.hooks],
         "run_log": c and c.run_log,
@@ -173,13 +175,20 @@ def world_state(world):
 
 
 def test_matrix_leaves_each_world_unprobed(scenario):
-    # Every probe runs on its own clone, so after a full matrix the world
-    # each report carries still equals a freshly built one.
-    changed = [
-        report.environment for report in run_matrix(scenario)
-        if world_state(report.world)
-        != world_state(WORLD_BUILDERS[report.environment](scenario))
-    ]
+    # Every probe runs on its own fork: after a full matrix each cached build
+    # still equals a fresh one, and so does a world probed directly. The fresh
+    # state is copied before the probes run, so a table that a fork wrongly
+    # shares with its parent, and so with every build, cannot change it too.
+    run_matrix(scenario)
+    changed = [env for env in ENVIRONMENTS
+               if world_state(unprobed_world(scenario, env))
+               != world_state(WORLD_BUILDERS[env](scenario))]
+    for env in ENVIRONMENTS:
+        fresh = copy.deepcopy(world_state(WORLD_BUILDERS[env](scenario)))
+        world = WORLD_BUILDERS[env](scenario)
+        run_probes_on_world(world)
+        if world_state(world) != fresh:
+            changed.append(f"{env}, probed directly")
     assert changed == []
 
 
@@ -241,10 +250,12 @@ def test_a_full_matrix_builds_only_the_worlds_not_yet_built(scenario, monkeypatc
 
 
 def test_writing_into_a_report_world_leaves_the_next_matrix_alone(scenario):
-    # A report's world is a fork of the cached build, so the caller may
-    # change it: unhook, tick, kill the container, touch the file system.
-    for report in run_matrix(scenario):
-        world, c = report.world, report.world.container
+    # unprobed_world hands out forks of the cached build, so the caller may
+    # change one: unhook, tick, kill the container, touch the file system.
+    run_matrix(scenario)
+    for env in ENVIRONMENTS:
+        world = unprobed_world(scenario, env)
+        c = world.container
         before = world_state(world)
         world.os.mkdir("/data/local/tmp/written")
         if c is not None:
@@ -258,7 +269,8 @@ def test_writing_into_a_report_world_leaves_the_next_matrix_alone(scenario):
     again = run_matrix(scenario)
     assert ([r.outcomes for r in again]
             == [run_probes_on_world(fresh[env]).outcomes for env in ENVIRONMENTS])
-    assert [world_state(r.world) for r in again] == [world_state(fresh[env]) for env in ENVIRONMENTS]
+    assert ([world_state(unprobed_world(scenario, env)) for env in ENVIRONMENTS]
+            == [world_state(fresh[env]) for env in ENVIRONMENTS])
 
 
 def test_second_first_run_changes_nothing(worlds_by_env):
