@@ -168,7 +168,7 @@ def cmd_run_matrix(args) -> int:
 
     try:
         golden = json.loads(Path(args.expect).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         return _fail(f"cannot read golden file: {exc}", EXIT_INPUT)
     expected = golden.get("environments") if isinstance(golden, dict) else None
     if not (isinstance(expected, dict)
@@ -351,7 +351,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ManifestError) as exc:
+    except (OSError, ManifestError, UnicodeDecodeError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     except CustomizationInvariantError as exc:
         return _fail(f"pipeline invariant violated: {exc}", EXIT_INVARIANT)

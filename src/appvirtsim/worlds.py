@@ -14,8 +14,11 @@ Worlds are deterministic for a given scenario, the one input of a builder.
 Each is built on a ``seeded_device``, a fork of one cached device. The first
 run calls nothing a bypass hook targets, so a cloaked world without some hooks
 is a fork of the built one with them uninstalled. ``unprobed_world`` caches
-each environment's build per scenario and hands out forks of it; callers
-isolate probes from each other by running each on its own ``World.fork``.
+each environment's build per scenario and hands out forks of it, and is the
+only way the matrix, the report document and ``bench`` get a world; the
+first-run log and the customization report live on the cloaked build, not on
+any detection report. Callers isolate probes from each other by running each
+on its own ``World.fork``.
 """
 
 from __future__ import annotations

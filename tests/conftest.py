@@ -6,7 +6,7 @@ import pytest
 from appvirtsim import defaults
 from appvirtsim.container import uninstall_hooks
 from appvirtsim.manifest import write_manifest_file
-from appvirtsim.worlds import default_scenario
+from appvirtsim.worlds import WORLD_BUILDERS, default_scenario
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -51,6 +51,15 @@ def unhooked(world, labels):
     fork = world.fork()
     uninstall_hooks(fork.container, labels)
     return fork
+
+
+def counted_builds(monkeypatch) -> list[str]:
+    """The environments built from now on, in build order."""
+    built = []
+    for env, builder in list(WORLD_BUILDERS.items()):
+        monkeypatch.setitem(WORLD_BUILDERS, env, lambda sc, env=env, build=builder:
+                            built.append(env) or build(sc))
+    return built
 
 
 def load_golden(name: str) -> dict:

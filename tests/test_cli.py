@@ -21,8 +21,10 @@ from appvirtsim.manifest import (
     write_manifest_file,
 )
 from appvirtsim.probes import DetectionReport, ProbeOutcome, Verdict, run_matrix
+from appvirtsim.worlds import CLOAKED_ENV, ENVIRONMENTS, NAIVE_ENV, NATIVE_ENV, unprobed_world
+
 import output_digests
-from conftest import DATA_DIR, load_golden
+from conftest import DATA_DIR, counted_builds, load_golden
 
 GOLDEN = str(DATA_DIR / "expected_matrix.json")
 
@@ -310,6 +312,30 @@ def test_run_matrix_victim_package_clash(fixture_paths, tmp_path, capsys, comman
     assert not out.exists()
 
 
+_NOT_UTF8 = ("bench --corpus", "build-addon --victim", "run-matrix --victim",
+             "run-matrix --expect")
+
+
+@pytest.mark.parametrize("path", _NOT_UTF8)
+def test_a_file_that_is_not_utf8_is_an_input_error(fixture_paths, tmp_path, capsys, path):
+    bad = tmp_path / "corpus" / "bad.json"
+    bad.parent.mkdir()
+    bad.write_bytes(b"\xff\xfe{}")
+    inputs = ["--template", str(fixture_paths["template"]),
+              "--catalog", str(fixture_paths["catalog"])]
+    argv = {
+        "bench --corpus": ["bench", "--corpus", str(bad.parent), "--repeat", "1", *inputs],
+        "build-addon --victim": ["build-addon", "--victim", str(bad), *inputs,
+                                 "--out", str(tmp_path / "addon.json"),
+                                 "--malicious-out", str(tmp_path / "payload.json")],
+        "run-matrix --victim": ["run-matrix", "--victim", str(bad)],
+        "run-matrix --expect": ["run-matrix", "--mode", "native",
+                                "--out", str(tmp_path / "r.json"), "--expect", str(bad)],
+    }[path]
+    assert run(argv) == 2
+    assert_one_error_line(capsys, "can't decode byte 0xff")
+
+
 def test_run_matrix_invariant_violation(capsys, monkeypatch):
     fail_validation(monkeypatch)
     assert run(["run-matrix"]) == 3
@@ -337,6 +363,31 @@ def test_a_cached_matrix_reports_like_a_fresh_one(scenario):
     hit = build_report_document(scenario, run_matrix(scenario))
     assert miss["run_log"] and miss["customization_steps"]
     assert _strip_durations(hit) == _strip_durations(miss)
+
+
+@pytest.mark.parametrize("mode, env", [("native", NATIVE_ENV), ("naive", NAIVE_ENV)])
+def test_a_single_mode_report_builds_no_cloaked_world(scenario, tmp_path, monkeypatch,
+                                                       mode, env):
+    # A report is an environment and its verdicts; the document reads the run
+    # log and step report from the scenario's cloaked build only when the
+    # cloaked environment ran.
+    built = counted_builds(monkeypatch)
+    out = tmp_path / "report.json"
+    assert run(["run-matrix", "--mode", mode, "--out", str(out)]) == 0
+    document = json.loads(out.read_text())
+    assert (document["run_log"], document["customization_steps"]) == ([], [])
+    [report] = run_matrix(scenario, (env,))
+    values = build_report_document(scenario, [DetectionReport(env, report.outcomes)])
+    assert values["environments"] == document["environments"]
+    assert built == [env, env]
+
+
+def test_a_matrix_report_reads_the_cached_cloaked_build(scenario, monkeypatch):
+    built = counted_builds(monkeypatch)
+    reports = [DetectionReport(r.environment, r.outcomes) for r in run_matrix(scenario)]
+    document = build_report_document(scenario, reports)
+    assert built == list(ENVIRONMENTS)
+    assert document["run_log"] == unprobed_world(scenario, CLOAKED_ENV).container.run_log
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +547,15 @@ def test_bench_hook_dispatch_times_the_hooked_kinds(tmp_path, monkeypatch):
         ("com.otherhost.addon", "get_application_info", None, defaults.VICTIM_PACKAGE),
         ("com.otherhost.addon", "read_proc_maps", None, None),
     }
+
+
+def test_bench_times_the_cached_cloaked_build(tmp_path, monkeypatch):
+    built = counted_builds(monkeypatch)
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    assert run(["bench", "--corpus", str(corpus_dir), "--repeat", "1",
+                "--out", str(tmp_path / "bench.json")]) == 0
+    assert built == [CLOAKED_ENV]
 
 
 def test_bench_repeat_count_only_affects_durations(tmp_path):

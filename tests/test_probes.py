@@ -49,7 +49,7 @@ from appvirtsim.worlds import (
     build_native_world,
     unprobed_world,
 )
-from conftest import load_golden, unhooked
+from conftest import counted_builds, load_golden, unhooked
 
 
 @pytest.fixture(scope="module")
@@ -206,22 +206,10 @@ def test_matrix_seeds_one_device(scenario, monkeypatch):
 
 def test_one_environment_builds_one_world(scenario, monkeypatch):
     # What ``run-matrix --mode native`` runs: only the native world is built.
-    built = []
-    for env, builder in list(WORLD_BUILDERS.items()):
-        monkeypatch.setitem(WORLD_BUILDERS, env, lambda sc, env=env, build=builder:
-                            built.append(env) or build(sc))
+    built = counted_builds(monkeypatch)
     reports = run_matrix(scenario, (NATIVE_ENV,))
     assert built == [NATIVE_ENV]
     assert [r.environment for r in reports] == [NATIVE_ENV]
-
-
-def counted_builds(monkeypatch) -> list[str]:
-    """The environments built from now on, in build order."""
-    built = []
-    for env, builder in list(WORLD_BUILDERS.items()):
-        monkeypatch.setitem(WORLD_BUILDERS, env, lambda sc, env=env, build=builder:
-                            built.append(env) or build(sc))
-    return built
 
 
 def test_two_matrices_on_one_scenario_build_each_world_once(scenario, monkeypatch):
