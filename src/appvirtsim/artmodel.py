@@ -50,8 +50,9 @@ class RuntimeModel:
         self.methods: dict[str, ArtMethodRecord] = {}
 
     def fork(self) -> RuntimeModel:
-        """An independent copy: a new method table sharing the frozen records."""
-        other = RuntimeModel(self.environment_kind)
+        """An independent copy, without the constructor: new table, shared frozen records."""
+        other = RuntimeModel.__new__(RuntimeModel)
+        other.environment_kind = self.environment_kind
         other.methods = dict(self.methods)
         return other
 

@@ -168,8 +168,10 @@ def cmd_run_matrix(args) -> int:
 
     try:
         golden = json.loads(Path(args.expect).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+    except OSError as exc:  # names the file itself
         return _fail(f"cannot read golden file: {exc}", EXIT_INPUT)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        return _fail(f"cannot read golden file {args.expect}: {exc}", EXIT_INPUT)
     expected = golden.get("environments") if isinstance(golden, dict) else None
     if not (isinstance(expected, dict)
             and all(isinstance(cells, dict) for cells in expected.values())):
@@ -351,7 +353,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ManifestError, UnicodeDecodeError) as exc:
+    except (OSError, ManifestError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     except CustomizationInvariantError as exc:
         return _fail(f"pipeline invariant violated: {exc}", EXIT_INVARIANT)

@@ -15,7 +15,9 @@ back, and application-info queries for a loaded plugin report the plugin's
 private directory under the add-on. A launch of a component the plugin's
 own manifest does not declare takes no stub: it is a
 ComponentNotRegisteredError, as it is natively. Hooks layer attack/bypass
-behavior on top of that baseline.
+behavior on top of that baseline. A call of a kind with no hook that the
+baseline does not rewrite (``simos.REWRITTEN_KINDS``) takes the direct route
+to os.syscall once its caller is checked, as the full pipeline would.
 
 Each loaded plugin is one frozen PluginRecord in ``ContainerState.plugins``,
 the one plugin store; ``plugin_manifests``, ``plugin_processes``,
@@ -37,6 +39,7 @@ from .permissions import PAYLOAD_STORES
 from .simos import (
     API_KINDS,
     LAUNCH_KINDS,
+    REWRITTEN_KINDS,
     AccessDeniedError,
     ApiCall,
     ApiError,
@@ -170,20 +173,21 @@ class ContainerState:
         """An independent copy: the three stores and the run log are copied
         shallowly, and the views derive from the copies. Frozen plugin records,
         manifests and stubs, run-log entries (never changed once appended) and
-        hook groups (tuples that install and uninstall rebind) are shared."""
-        return ContainerState(
-            addon_package=self.addon_package,
-            addon_manifest=self.addon_manifest,
-            container_pid=self.container_pid,
-            plugin_data_root=self.plugin_data_root,
-            stub_components=self.stub_components,
-            plugins=dict(self.plugins),
-            stub_assignments=dict(self.stub_assignments),
-            foreground_plugin=self.foreground_plugin,
-            plugin_loads=self.plugin_loads,
-            run_log=list(self.run_log),
-            hooks_by_target=dict(self.hooks_by_target),
-        )
+        hook groups (tuples that install and uninstall rebind) are shared. Each
+        field is set directly, without the constructor, as ``SimOs.fork`` does."""
+        other = ContainerState.__new__(ContainerState)
+        other.addon_package = self.addon_package
+        other.addon_manifest = self.addon_manifest
+        other.container_pid = self.container_pid
+        other.plugin_data_root = self.plugin_data_root
+        other.stub_components = self.stub_components
+        other.plugins = dict(self.plugins)
+        other.stub_assignments = dict(self.stub_assignments)
+        other.foreground_plugin = self.foreground_plugin
+        other.plugin_loads = self.plugin_loads
+        other.run_log = list(self.run_log)
+        other.hooks_by_target = dict(self.hooks_by_target)
+        return other
 
 
 def create_container(os: SimOs, addon: AppManifest) -> ContainerState:
@@ -319,6 +323,8 @@ def plugin_syscall(os: SimOs, c: ContainerState, caller: int, call: ApiCall):
         raise NotAPluginError(f"pid {caller} is not a plugin process of {c.addon_package}")
 
     on_target = c.hooks_by_target.get(call.kind)
+    if not on_target and call.kind not in REWRITTEN_KINDS:  # the direct route
+        return os.syscall(caller, call)
     replacement = None
     if on_target:
         for hook in on_target:

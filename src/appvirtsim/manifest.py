@@ -374,7 +374,10 @@ def serialize_manifest(m: AppManifest) -> str:
 
 def load_manifest_file(path) -> AppManifest:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_manifest(fh.read())
+        try:
+            return parse_manifest(fh.read())
+        except UnicodeDecodeError as exc:  # an input error that names the file
+            raise ManifestError(f"{path}: not UTF-8: {exc}") from None
 
 
 def write_manifest_file(path, m: AppManifest) -> None:

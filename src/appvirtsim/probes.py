@@ -31,7 +31,7 @@ from .simos import (
     SimOsError,
     StaticReceiverError,
 )
-from .worlds import ENVIRONMENTS, EnvHandle, MatrixScenario, World, unprobed_world
+from .worlds import ENVIRONMENTS, EnvHandle, MatrixScenario, World, _unprobed_build
 
 
 class Verdict(str, enum.Enum):
@@ -84,18 +84,31 @@ class DetectionReport:
         }
 
 
+# The calls whose arguments are fixed, built once: an ApiCall is immutable.
+_INSTALLED_PACKAGES = ApiCall("get_installed_packages")
+_RECENT_TASKS = ApiCall("get_recent_tasks")
+_RUNNING_TASKS = ApiCall("get_running_tasks")
+_RUNNING_SERVICES = ApiCall("get_running_services")
+_APP_PROCESSES = ApiCall("get_running_app_processes")
+_PROC_MAPS = ApiCall("read_proc_maps")
+_PS = ApiCall("exec_shell", cmd="ps")
+_STORE_ACCESS = {store: ApiCall("access_resource", store=store) for store in STORE_GUARDS}
+_PERMISSION_CHECKS = {p: ApiCall("check_permission", permission=p)  # in permission order
+                      for p in sorted(DANGEROUS_PERMISSIONS)}
+_STORE_GUARD_PAIRS = tuple(sorted(STORE_GUARDS.items()))
+_STORES_BY_GUARD = {guard: store for store, guard in STORE_GUARDS.items()}
+
+
 def _probe_1(h: EnvHandle):
     """Reach for stores whose guarding permission the app never declared."""
-    undeclared = [
-        (store, guard) for store, guard in sorted(STORE_GUARDS.items())
-        if guard not in h.declared.permissions
-    ]
+    undeclared = [store for store, guard in _STORE_GUARD_PAIRS
+                  if guard not in h.declared.permissions]
     if not undeclared:
         return Verdict.CLEAN, "every store guard is declared; nothing to over-reach"
     reachable = []
-    for store, guard in undeclared:
+    for store in undeclared:
         try:
-            h.call(ApiCall("access_resource", store=store))
+            h.call(_STORE_ACCESS[store])
             reachable.append(store)
         except PermissionDeniedError:
             pass
@@ -117,21 +130,14 @@ def _probe_2(h: EnvHandle):
 
 def _probe_3(h: EnvHandle):
     """Check undeclared dangerous permissions and try the guarded actions."""
-    unchecked = sorted(DANGEROUS_PERMISSIONS - h.declared.permissions)
+    unchecked = [p for p in _PERMISSION_CHECKS if p not in h.declared.permissions]
     if not unchecked:
         return Verdict.CLEAN, "every dangerous permission is declared; nothing to check"
-    granted = [
-        p for p in unchecked
-        if h.call(ApiCall("check_permission", permission=p)) == "granted"
-    ]
+    granted = [p for p in unchecked if h.call(_PERMISSION_CHECKS[p]) == "granted"]
     confirmed = []
-    stores_by_guard = {guard: store for store, guard in STORE_GUARDS.items()}
-    for p in granted:
-        store = stores_by_guard.get(p)
-        if store is None:
-            continue
+    for store in [_STORES_BY_GUARD[p] for p in granted if p in _STORES_BY_GUARD]:
         try:
-            h.call(ApiCall("access_resource", store=store))
+            h.call(_STORE_ACCESS[store])
             confirmed.append(store)
         except PermissionDeniedError:
             pass
@@ -146,7 +152,7 @@ def _probe_3(h: EnvHandle):
 
 def _probe_4(h: EnvHandle):
     """Look for the app's own package in the installed-packages list."""
-    installed = h.call(ApiCall("get_installed_packages"))
+    installed = h.call(_INSTALLED_PACKAGES)
     if h.own_package in installed:
         return Verdict.CLEAN, "own package present in the installed list"
     return Verdict.VIRTUAL_DETECTED, (
@@ -157,8 +163,8 @@ def _probe_4(h: EnvHandle):
 def _probe_5(h: EnvHandle):
     """Scan recent and running tasks for components the app never declared."""
     own_names = {name for _, name in extract_components(h.declared)}
-    tasks = list(h.call(ApiCall("get_recent_tasks")))
-    tasks += list(h.call(ApiCall("get_running_tasks")))
+    tasks = list(h.call(_RECENT_TASKS))
+    tasks += list(h.call(_RUNNING_TASKS))
     foreign = sorted({name for _, name in tasks if name not in own_names})
     if foreign:
         return Verdict.VIRTUAL_DETECTED, f"foreign task components visible: {', '.join(foreign)}"
@@ -168,7 +174,7 @@ def _probe_5(h: EnvHandle):
 def _probe_6(h: EnvHandle):
     """Look for foreign entries in the running-services list."""
     own = {s.name for s in h.declared.services}
-    services = h.call(ApiCall("get_running_services"))
+    services = h.call(_RUNNING_SERVICES)
     foreign = sorted(set(services) - own)
     if foreign:
         return Verdict.VIRTUAL_DETECTED, f"foreign services visible: {', '.join(foreign)}"
@@ -180,7 +186,7 @@ def _probe_6(h: EnvHandle):
 
 def _probe_7(h: EnvHandle):
     """Compare same-UID process names against the app's expected name."""
-    processes = h.call(ApiCall("get_running_app_processes"))
+    processes = h.call(_APP_PROCESSES)
     alien = sorted({p["name"] for p in processes if p["name"] != h.own_package})
     if alien:
         return Verdict.VIRTUAL_DETECTED, (
@@ -204,7 +210,7 @@ def _parse_ps_lines(output: str) -> list[tuple[int, int, str]]:
 
 def _probe_8(h: EnvHandle):
     """Run the process-list shell command and count distinct same-uid names."""
-    output = h.call(ApiCall("exec_shell", cmd="ps"))
+    output = h.call(_PS)
     rows = _parse_ps_lines(output)
     names = {name for _, _, name in rows}
     if len(rows) > 1 and len(names) > 1:
@@ -235,7 +241,7 @@ def _probe_10(h: EnvHandle):
 def _probe_11(h: EnvHandle):
     """Search the process memory map for a foreign APK path."""
     try:
-        maps = h.call(ApiCall("read_proc_maps"))
+        maps = h.call(_PROC_MAPS)
     except AccessDeniedError:
         return Verdict.CLEAN, "process map read denied; no foreign apk path found"
     own_apk = f"/data/app/{h.own_package}/base.apk"
@@ -248,7 +254,7 @@ def _probe_11(h: EnvHandle):
 def _probe_12(h: EnvHandle):
     """Search the process memory map for code loaded outside the native app dir."""
     try:
-        maps = h.call(ApiCall("read_proc_maps"))
+        maps = h.call(_PROC_MAPS)
     except AccessDeniedError:
         return Verdict.CLEAN, "process map read denied; no suspicious library path found"
     prefix = f"/data/app/{h.own_package}/"
@@ -400,6 +406,6 @@ def run_probes_on_world(world: World) -> DetectionReport:
 
 def run_matrix(scenario: MatrixScenario,
                environments=ENVIRONMENTS) -> list[DetectionReport]:
-    """Run all probes in each environment's world, built once per scenario."""
-    return [run_probes_on_world(unprobed_world(scenario, environment))
+    """Run all probes on per-probe forks of each environment's cached build."""
+    return [run_probes_on_world(_unprobed_build(scenario, environment))
             for environment in environments]

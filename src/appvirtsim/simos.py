@@ -36,6 +36,9 @@ LAUNCH_KINDS = {
     "start_service": SERVICE,
     "acquire_provider": PROVIDER,
 }
+# The kinds whose call or reply the container's baseline rewrites.
+REWRITTEN_KINDS = frozenset({*LAUNCH_KINDS, "get_application_info", "get_running_services",
+                             "get_running_tasks", "get_recent_tasks"})
 
 
 class SimOsError(Exception):
@@ -163,6 +166,9 @@ class SimProcess:
 
 
 class SimOs:
+    """One device. ``processes`` stays in pid order (a spawn takes a higher pid,
+    a launch rewrites its row in place, a kill deletes, a fork copies in order)."""
+
     def __init__(self) -> None:
         self.registry: dict[str, PackageRecord] = {}
         self.processes: dict[int, SimProcess] = {}
@@ -242,12 +248,6 @@ class SimOs:
         self.processes[pid] = SimProcess(pid, record.uid, name, package, tuple(maps))
         return pid
 
-    def process(self, pid: int) -> SimProcess:
-        proc = self.processes.get(pid)
-        if proc is None:
-            raise UnknownProcessError(f"no such pid: {pid}")
-        return proc
-
     def seed_store(self, store: str, records: list[str]) -> None:
         if store not in self.data_stores:
             raise UnknownStoreError(f"no such store: {store}")
@@ -268,14 +268,16 @@ class SimOs:
         return record
 
     def _same_uid_processes(self, proc: SimProcess) -> list[SimProcess]:
-        return [p for p in sorted(self.processes.values(), key=lambda p: p.pid)
-                if p.uid == proc.uid]
+        return [p for p in self.processes.values() if p.uid == proc.uid]
 
     # -- the system-call surface ------------------------------------------
 
     def syscall(self, caller: int, call: ApiCall):
         """Native-faithful reply for one call; the single entry point proxies wrap."""
-        return _OPS[call.kind](self, self.process(caller), call)
+        proc = self.processes.get(caller)
+        if proc is None:
+            raise UnknownProcessError(f"no such pid: {caller}")
+        return _OPS[call.kind](self, proc, call)
 
     def _op_get_installed_packages(self, proc, call):
         return sorted(self.registry)
@@ -297,8 +299,7 @@ class SimOs:
     def _op_get_running_tasks(self, proc, call):
         # Post-API-21 restriction: only tasks of the caller's own package.
         tasks = []
-        for pid in sorted(self.processes):
-            other = self.processes[pid]
+        for other in self.processes.values():
             if other.owner_package == proc.owner_package:
                 tasks.extend([kind, name] for kind, name in other.running_task_components)
         return tasks

@@ -15,10 +15,11 @@ Each is built on a ``seeded_device``, a fork of one cached device. The first
 run calls nothing a bypass hook targets, so a cloaked world without some hooks
 is a fork of the built one with them uninstalled. ``unprobed_world`` caches
 each environment's build per scenario and hands out forks of it, and is the
-only way the matrix, the report document and ``bench`` get a world; the
-first-run log and the customization report live on the cloaked build, not on
-any detection report. Callers isolate probes from each other by running each
-on its own ``World.fork``.
+only public way the report document and ``bench`` get a world; the matrix
+takes the cached build itself and forks it once per probe. The first-run log
+and the customization report live on the cloaked build, not on any detection
+report. Callers isolate probes from each other by running each on its own
+``World.fork``.
 """
 
 from __future__ import annotations
@@ -122,21 +123,18 @@ class World:
 
 class EnvHandle:
     """What a probe is allowed to see: its declared manifest, the call
-    surface, and its process's runtime model. Nothing else."""
+    surface (``call``, bound once to the OS or to ``plugin_syscall``), and its
+    process's runtime model. Nothing else."""
 
     def __init__(self, world: World):
-        self._world = world
         self.declared = world.probe_manifest
         self.own_package = world.probe_manifest.package
         self.runtime = world.runtime
-
-    def call(self, api_call: ApiCall):
-        world = self._world
         if world.container is None:
-            return world.os.syscall(world.probe_pid, api_call)
-        return container.plugin_syscall(
-            world.os, world.container, world.probe_pid, api_call
-        )
+            self.call = functools.partial(world.os.syscall, world.probe_pid)
+        else:
+            self.call = functools.partial(container.plugin_syscall, world.os, world.container,
+                                          world.probe_pid)
 
 
 def launch_native(os: SimOs, package: str) -> int:
@@ -206,10 +204,15 @@ WORLD_BUILDERS = {
 _unprobed: dict[str, tuple[MatrixScenario, World]] = {}
 
 
-def unprobed_world(sc: MatrixScenario, environment: str) -> World:
-    """A fork of the ``environment`` world built for ``sc``: each environment
-    keeps the build for the last scenario it saw, and never hands it out."""
+def _unprobed_build(sc: MatrixScenario, environment: str) -> World:
+    """The cached build itself, for ``probes.run_matrix``, which only forks it."""
     cached = _unprobed.get(environment)
     if cached is None or cached[0] is not sc:
         cached = _unprobed[environment] = (sc, WORLD_BUILDERS[environment](sc))
-    return cached[1].fork()
+    return cached[1]
+
+
+def unprobed_world(sc: MatrixScenario, environment: str) -> World:
+    """A fork of the ``environment`` world built for ``sc``: each environment
+    keeps the build for the last scenario it saw, and never hands it out."""
+    return _unprobed_build(sc, environment).fork()

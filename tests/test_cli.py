@@ -333,7 +333,7 @@ def test_a_file_that_is_not_utf8_is_an_input_error(fixture_paths, tmp_path, caps
                                 "--out", str(tmp_path / "r.json"), "--expect", str(bad)],
     }[path]
     assert run(argv) == 2
-    assert_one_error_line(capsys, "can't decode byte 0xff")
+    assert_one_error_line(capsys, "can't decode byte 0xff", str(bad))
 
 
 def test_run_matrix_invariant_violation(capsys, monkeypatch):

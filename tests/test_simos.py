@@ -1,12 +1,15 @@
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from appvirtsim.manifest import ACTIVITY, AppManifest, SERVICE
-from appvirtsim import permissions as perms
+from appvirtsim import defaults, permissions as perms
 from appvirtsim.simos import (
+    LAUNCH_KINDS,
     AlreadyInstalledError,
     ApiCall,
+    ApiError,
     ComponentNotRegisteredError,
     PackageNotFoundError,
     PermissionDeniedError,
@@ -294,3 +297,37 @@ def test_equal_api_calls_hash_equal():
     assert first == second and hash(first) == hash(second)
     assert first != first._replace(name=".Other")
     assert first == tuple(first)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_process_table_stays_in_pid_order(data):
+    # The calls that list processes iterate the table as it stands, which is
+    # pid order only while no spawn, launch, kill or fork reorders it.
+    os = SimOs()
+    manifests = [os.install(m).manifest for m in (defaults.default_victim(),
+                                                  defaults.default_template(),
+                                                  defaults.default_companion())]
+    packages = [m.package for m in manifests]
+    components = sorted({(kind, comp.name) for m in manifests for comp in m.components()
+                         for kind, launched in LAUNCH_KINDS.items() if launched == comp.kind})
+    for _ in range(data.draw(st.integers(1, 25))):
+        op = data.draw(st.sampled_from(("spawn", "spawn", "launch", "launch", "kill", "fork")))
+        if op == "spawn":
+            package = data.draw(st.sampled_from(packages))
+            os.spawn_process(package, package, [])
+        elif op == "fork":
+            os = os.fork()
+        elif os.processes:
+            caller = data.draw(st.sampled_from(list(os.processes)))
+            if op == "launch":
+                kind, name = data.draw(st.sampled_from(components))
+                call = ApiCall(kind, name=name)
+            else:  # only the template holds KILL_BACKGROUND_PROCESSES
+                call = ApiCall("kill_background_processes",
+                               package=data.draw(st.sampled_from(packages)))
+            try:
+                os.syscall(caller, call)
+            except ApiError:
+                pass
+        assert list(os.processes) == sorted(os.processes)
