@@ -15,9 +15,7 @@ back, and application-info queries for a loaded plugin report the plugin's
 private directory under the add-on. A launch of a component the plugin's
 own manifest does not declare takes no stub: it is a
 ComponentNotRegisteredError, as it is natively. Hooks layer attack/bypass
-behavior on top of that baseline. A call of a kind with no hook that the
-baseline does not rewrite (``simos.REWRITTEN_KINDS``) takes the direct route
-to os.syscall once its caller is checked, as the full pipeline would.
+behavior on top of that baseline.
 
 Each loaded plugin is one frozen PluginRecord in ``ContainerState.plugins``,
 the one plugin store; ``plugin_manifests``, ``plugin_processes``,
@@ -39,7 +37,6 @@ from .permissions import PAYLOAD_STORES
 from .simos import (
     API_KINDS,
     LAUNCH_KINDS,
-    REWRITTEN_KINDS,
     AccessDeniedError,
     ApiCall,
     ApiError,
@@ -323,8 +320,6 @@ def plugin_syscall(os: SimOs, c: ContainerState, caller: int, call: ApiCall):
         raise NotAPluginError(f"pid {caller} is not a plugin process of {c.addon_package}")
 
     on_target = c.hooks_by_target.get(call.kind)
-    if not on_target and call.kind not in REWRITTEN_KINDS:  # the direct route
-        return os.syscall(caller, call)
     replacement = None
     if on_target:
         for hook in on_target:

@@ -36,9 +36,6 @@ LAUNCH_KINDS = {
     "start_service": SERVICE,
     "acquire_provider": PROVIDER,
 }
-# The kinds whose call or reply the container's baseline rewrites.
-REWRITTEN_KINDS = frozenset({*LAUNCH_KINDS, "get_application_info", "get_running_services",
-                             "get_running_tasks", "get_recent_tasks"})
 
 
 class SimOsError(Exception):

@@ -58,7 +58,6 @@ from appvirtsim.simos import (
 from appvirtsim.worlds import (
     CLOAKED_ENV,
     ENVIRONMENTS,
-    NAIVE_ENV,
     WORLD_BUILDERS,
     build_cloaked_world,
     build_naive_world,
@@ -1108,46 +1107,6 @@ def test_dispatch_answers_to_the_reference(data):
         _assert_same(real, ref_world, ref)
     for parent in parents:
         _assert_same(*parent)
-
-
-_LAUNCH_CALLS = {launched: kind for kind, launched in LAUNCH_KINDS.items()}
-
-
-@pytest.mark.parametrize("hooked", (False, True), ids=("unhooked", "hooked"))
-@pytest.mark.parametrize("kind", sorted(API_KINDS))
-@pytest.mark.parametrize("env", (NAIVE_ENV, CLOAKED_ENV))
-@settings(max_examples=8, deadline=None)
-@given(data=st.data())
-def test_each_kind_answers_to_the_reference(env, kind, hooked, data):
-    # Every kind, with no hook on it or with one more: an unhooked kind that
-    # the baseline does not rewrite takes the direct route, any other the full
-    # pipeline, and both answer as the reference does and leave equal worlds.
-    real_built, (ref_built, ref_seed) = _dispatch_worlds()[env]
-    real, ref_world, ref = real_built.fork(), ref_built.fork(), ref_seed.fork()
-    c = real.container
-    for record in list(c.plugins.values()):  # every plugin launches all it can, so
-        for comp in record.manifest.components():  # replies name components by stub
-            if comp.kind in _LAUNCH_CALLS:
-                call = ApiCall(_LAUNCH_CALLS[comp.kind], name=comp.name)
-                assert (_outcome(real, plugin_syscall, record.pid, call)
-                        == _outcome(ref_world, ref.plugin_syscall, record.pid, call))
-    if hooked:
-        hook = data.draw(st.builds(_test_hook, st.sampled_from(LAYERS), st.just(kind),
-                                   st.sampled_from(MODES), st.booleans(),
-                                   st.sampled_from(_HOOK_LABELS)))
-        install_hook(c, hook)
-        ref.install_hook(ref_world.container, hook)
-    else:
-        on_kind = {h.label for h in c.hooks_by_target.get(kind, ())}
-        assert uninstall_hooks(c, on_kind) == ref.uninstall_hooks(ref_world.container, on_kind)
-    assert bool(c.hooks_by_target.get(kind)) == hooked
-    callers = sorted(c.plugin_processes.values())
-    for _ in range(data.draw(st.integers(1, 4))):
-        caller = data.draw(st.sampled_from(callers))
-        call = ApiCall(kind, **data.draw(_call_fields()))
-        assert (_outcome(real, plugin_syscall, caller, call)
-                == _outcome(ref_world, ref.plugin_syscall, caller, call))
-    _assert_same(real, ref_world, ref)
 
 
 # ---------------------------------------------------------------------------
