@@ -45,7 +45,7 @@ def scenario_digest(sc: worlds.MatrixScenario) -> str:
     hasher = hashlib.sha256()
     for m in (sc.victim, sc.template, sc.catalog, sc.companion):
         hasher.update(serialize_manifest(m).encode())
-    hasher.update(json.dumps([sc.seed, sorted(sc.store_counts.items())]).encode())
+    hasher.update(json.dumps([sc.seed, sorted(defaults.DEFAULT_STORE_COUNTS.items())]).encode())
     return hasher.hexdigest()[:16]
 
 
@@ -115,15 +115,17 @@ def _render_table(reports: list[probes.DetectionReport]) -> str:
 
 def build_report_document(sc: worlds.MatrixScenario,
                           reports: list[probes.DetectionReport]) -> dict:
-    # The run log and step report belong to the scenario's cloaked build.
+    # Forks share the cloaked build's run-log entries, so the document copies
+    # them; ``customize`` is pure, so a fresh call differs only in durations.
     cloaked = (worlds.unprobed_world(sc, worlds.CLOAKED_ENV)
                if any(r.environment == worlds.CLOAKED_ENV for r in reports) else None)
     return {
         "tool": {"name": "appvirtsim", "version": __version__},
         "scenario_digest": scenario_digest(sc),
         "environments": [r.to_dict() for r in reports],
-        "run_log": cloaked.container.run_log if cloaked else [],
-        "customization_steps": list(cloaked.customization.report) if cloaked else [],
+        "run_log": [dict(entry) for entry in cloaked.container.run_log] if cloaked else [],
+        "customization_steps": (customize(sc.victim, sc.template, sc.catalog).report
+                                if cloaked else []),
     }
 
 

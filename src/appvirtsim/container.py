@@ -169,9 +169,10 @@ class ContainerState:
     def fork(self) -> ContainerState:
         """An independent copy: the three stores and the run log are copied
         shallowly, and the views derive from the copies. Frozen plugin records,
-        manifests and stubs, run-log entries (never changed once appended) and
-        hook groups (tuples that install and uninstall rebind) are shared. Each
-        field is set directly, without the constructor, as ``SimOs.fork`` does."""
+        manifests and stubs, hook groups (tuples that install and uninstall
+        rebind) and the run-log entry dicts are shared: nothing writes an entry
+        once appended, and the report document copies each one. Each field is
+        set directly, without the constructor, as ``SimOs.fork`` does."""
         other = ContainerState.__new__(ContainerState)
         other.addon_package = self.addon_package
         other.addon_manifest = self.addon_manifest
@@ -401,9 +402,9 @@ def install_cloaking_hookset(c: ContainerState, victim_package: str) -> None:
 # First run and background services
 
 
-def _warn(c: ContainerState, detail: str) -> None:
-    """Log a warning: the one place the run log's warning entry is shaped."""
-    c.run_log.append({"step": "warning", "detail": detail})
+def _log(c: ContainerState, step: str, **fields) -> None:
+    """Append a run-log entry: the one place an entry is shaped, its step first."""
+    c.run_log.append({"step": step, **fields})
 
 
 def first_run(os: SimOs, c: ContainerState, victim_package: str,
@@ -429,26 +430,23 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
         raise CatalogFetchError(f"the payload manifest names the victim {victim_package}")
     for plugin in (malicious, victim_record.manifest):
         _require_loadable(c, plugin)
-    log = c.run_log
 
     killed = os.syscall(
         c.container_pid, ApiCall("kill_background_processes", package=victim_package)
     )
-    log.append({"step": "kill_victim", "package": victim_package, "killed": killed})
+    _log(c, "kill_victim", package=victim_package, killed=killed)
 
     addon = c.addon_manifest
     label = addon.shortcut_label or victim_record.manifest.label
     icon = addon.shortcut_icon or victim_record.manifest.launcher_icon
     if (label, icon, c.addon_package) in os.shortcuts:
-        _warn(c, f"shortcut ({label}, {icon}) already exists; creating another")
+        _log(c, "warning", detail=f"shortcut ({label}, {icon}) already exists; creating another")
     os.syscall(c.container_pid, ApiCall(
         "create_shortcut", label=label, icon=icon, target_package=c.addon_package
     ))
-    log.append({"step": "create_shortcut", "label": label, "icon": icon,
-                "target": c.addon_package})
+    _log(c, "create_shortcut", label=label, icon=icon, target=c.addon_package)
 
-    log.append({"step": "fetch_payload", "document": f"{malicious.package}.json",
-                "package": malicious.package})
+    _log(c, "fetch_payload", document=f"{malicious.package}.json", package=malicious.package)
 
     payload_pid = load_plugin(os, c, malicious)
     started = []
@@ -457,14 +455,14 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
             plugin_syscall(os, c, payload_pid, ApiCall("start_service", name=service.name))
             started.append(service.name)
         except ApiError as exc:
-            _warn(c, f"service {service.name} failed to start: {exc}")
-    log.append({"step": "start_payload_services", "package": malicious.package,
-                "pid": payload_pid, "services": started})
+            _log(c, "warning", detail=f"service {service.name} failed to start: {exc}")
+    _log(c, "start_payload_services", package=malicious.package, pid=payload_pid,
+         services=started)
 
     victim_pid = load_plugin(os, c, victim_record.manifest)
-    log.append({"step": "load_victim", "package": victim_package, "pid": victim_pid,
-                "foreground": c.foreground_plugin == victim_package})
-    return log
+    _log(c, "load_victim", package=victim_package, pid=victim_pid,
+         foreground=c.foreground_plugin == victim_package)
+    return c.run_log
 
 
 def _reap_plugin(os: SimOs, c: ContainerState, package: str) -> None:
@@ -501,7 +499,7 @@ def tick_services(os: SimOs, c: ContainerState) -> None:
     for package, record in list(c.plugins.items()):
         proc = os.processes.get(record.pid)
         if proc is None:
-            _warn(c, f"{package}: process {record.pid} is gone; not ticked")
+            _log(c, "warning", detail=f"{package}: process {record.pid} is gone; not ticked")
             _reap_plugin(os, c, package)
             continue
         services = record.manifest.services
@@ -518,6 +516,7 @@ def tick_services(os: SimOs, c: ContainerState) -> None:
             try:
                 records = plugin_syscall(os, c, record.pid, _STORE_READS[tag])
             except ApiError as exc:
-                _warn(c, f"{service.name}: {PAYLOAD_STORES[tag]} read denied ({exc})")
+                _log(c, "warning",
+                     detail=f"{service.name}: {PAYLOAD_STORES[tag]} read denied ({exc})")
                 continue
             sink.extend(zip(repeat(tag), records))

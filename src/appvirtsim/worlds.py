@@ -17,20 +17,19 @@ is a fork of the built one with them uninstalled. ``unprobed_world`` caches
 each environment's build per scenario and hands out forks of it, and is the
 only public way the report document and ``bench`` get a world; the matrix
 takes the cached build itself and forks it once per probe. The first-run log
-and the customization report live on the cloaked build, not on any detection
-report. Callers isolate probes from each other by running each on its own
-``World.fork``.
+lives on the cloaked build, not on any detection report; a fork shares its
+entry dicts with the build, so the report document copies each one. Callers
+isolate probes from each other by running each on its own ``World.fork``.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 from . import artmodel, container, defaults
-from .customization import CustomizationResult, check_catalog, customize
+from .customization import check_catalog, customize
 from .manifest import AppManifest, SchemaError, launcher_activity, load_manifest_file
 from .simos import ApiCall, SimOs
 
@@ -40,30 +39,24 @@ CLOAKED_ENV = "cloaked_container"
 ENVIRONMENTS = (NATIVE_ENV, NAIVE_ENV, CLOAKED_ENV)
 
 
-_DEFAULT_COUNTS = MappingProxyType(dict(defaults.DEFAULT_STORE_COUNTS))  # shared, read-only
-
-
 @dataclass(frozen=True, slots=True)
 class MatrixScenario:
     """The inputs every command builds its worlds from, checked when built:
     a victim that shares its package with another input is a SchemaError.
-    Frozen, with a read-only copy of ``store_counts``, so nothing changes after
-    the check and ``unprobed_world`` can key on identity."""
+    Frozen, so nothing changes after the check and ``unprobed_world`` can key
+    on identity."""
 
     victim: AppManifest
     template: AppManifest
     catalog: AppManifest
     companion: AppManifest
     seed: int = defaults.DEFAULT_SEED
-    store_counts: MappingProxyType[str, int] = field(default_factory=lambda: _DEFAULT_COUNTS)
 
     def __post_init__(self) -> None:
         others = (self.template.package, self.companion.package, self.catalog.package)
         if self.victim.package in others:
             role = ("template", "companion", "catalog")[others.index(self.victim.package)]
             raise SchemaError(f"victim package {self.victim.package!r} is also the {role}'s")
-        if self.store_counts is not _DEFAULT_COUNTS:
-            object.__setattr__(self, "store_counts", MappingProxyType(dict(self.store_counts)))
 
 
 def default_scenario(seed: int = defaults.DEFAULT_SEED, victim_path=None,
@@ -89,17 +82,17 @@ def seed_stores(os: SimOs, counts: dict[str, int], seed: int) -> None:
 
 
 @functools.lru_cache(maxsize=1)
-def _pristine_device(seed: int, counts: tuple[tuple[str, int], ...]) -> SimOs:
+def _pristine_device(seed: int) -> SimOs:
     """The device ``seeded_device`` forks; never handed out, so never written to."""
     os = SimOs()
-    seed_stores(os, dict(counts), seed)
+    seed_stores(os, defaults.DEFAULT_STORE_COUNTS, seed)
     return os
 
 
 def seeded_device(sc: MatrixScenario) -> SimOs:
-    """A device with nothing installed and the scenario's data stores filled: a
-    fork of the device cached for the last (seed, sorted store counts) seen."""
-    return _pristine_device(sc.seed, tuple(sorted(sc.store_counts.items()))).fork()
+    """A device with nothing installed and the default data stores filled for
+    the scenario's seed: a fork of the device cached for the last seed seen."""
+    return _pristine_device(sc.seed).fork()
 
 
 @dataclass
@@ -110,15 +103,13 @@ class World:
     probe_manifest: AppManifest
     runtime: artmodel.RuntimeModel
     container: container.ContainerState | None = None
-    customization: CustomizationResult | None = None
 
     def fork(self) -> World:
-        """An independent copy: the OS, container and runtime are forked; the
-        frozen probe manifest and the customization result, which nothing
-        changes after the build, are shared."""
+        """An independent copy: the OS, container and runtime are forked and the
+        frozen probe manifest is shared. The container's run-log entry dicts
+        are shared too (see ``ContainerState.fork``)."""
         return World(self.environment, self.os.fork(), self.probe_pid, self.probe_manifest,
-                     self.runtime.fork(), self.container and self.container.fork(),
-                     self.customization)
+                     self.runtime.fork(), self.container and self.container.fork())
 
 
 class EnvHandle:
@@ -190,8 +181,7 @@ def build_cloaked_world(sc: MatrixScenario) -> World:
     pid = c.plugins[sc.victim.package].pid
     runtime = artmodel.RuntimeModel(artmodel.VIRTUAL)
     artmodel.warm_up(runtime)
-    return World(CLOAKED_ENV, os, pid, sc.victim, runtime,
-                 container=c, customization=result)
+    return World(CLOAKED_ENV, os, pid, sc.victim, runtime, container=c)
 
 
 WORLD_BUILDERS = {

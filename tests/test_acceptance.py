@@ -20,7 +20,6 @@ from appvirtsim.container import (
 from appvirtsim.corpus import corpus_manifest
 from appvirtsim.customization import customize
 from appvirtsim.defaults import (
-    DEFAULT_STORE_COUNTS,
     default_catalog,
     default_companion,
     default_template,
@@ -112,7 +111,6 @@ def test_criterion_3_uid_and_path_semantics():
                 catalog=catalog,
                 companion=companion,
                 seed=seed,
-                store_counts=dict(DEFAULT_STORE_COUNTS),
             )
             world = unhooked(build_cloaked_world(scenario), CLOAK_HOOK_LABELS)
             os, c = world.os, world.container
@@ -164,7 +162,6 @@ def test_criterion_5_exfiltration_soundness():
         scenario = MatrixScenario(
             victim=victim, template=default_template(), catalog=default_catalog(),
             companion=default_companion(),
-            store_counts=dict(DEFAULT_STORE_COUNTS),
         )
         world = build_cloaked_world(scenario)
         tick_services(world.os, world.container)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from appvirtsim import container, customization, defaults
+from appvirtsim import container, customization, defaults, worlds
 from appvirtsim.cli import (
     HOOK_DISPATCH_CALLS,
     build_report_document,
@@ -388,6 +388,23 @@ def test_a_matrix_report_reads_the_cached_cloaked_build(scenario, monkeypatch):
     document = build_report_document(scenario, reports)
     assert built == list(ENVIRONMENTS)
     assert document["run_log"] == unprobed_world(scenario, CLOAKED_ENV).container.run_log
+
+
+def test_writing_into_a_document_leaves_the_next_one_alone(scenario):
+    # A document copies each run-log entry of the cached cloaked build and
+    # takes its steps from a fresh customize, so it shares no record with the
+    # cache or with another document.
+    reports = run_matrix(scenario)
+    first = build_report_document(scenario, reports)
+    expected = _strip_durations(json.loads(json.dumps(first)))
+    first["customization_steps"][0].pop("duration_ms")
+    first["run_log"][0]["step"] = "tampered"
+    second = build_report_document(scenario, reports)
+    assert all("duration_ms" in step for step in second["customization_steps"])
+    assert _strip_durations(second) == expected
+    log = worlds._unprobed_build(scenario, CLOAKED_ENV).container.run_log
+    cached = {id(entry) for entry in log}
+    assert cached.isdisjoint(id(entry) for entry in first["run_log"] + second["run_log"])
 
 
 # ---------------------------------------------------------------------------

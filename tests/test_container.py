@@ -36,7 +36,7 @@ from appvirtsim.container import (
     uninstall_hooks,
 )
 from appvirtsim.customization import customize, validate_result
-from appvirtsim.defaults import DEFAULT_STORE_COUNTS
+from appvirtsim.defaults import DEFAULT_STORE_COUNTS, default_catalog
 from appvirtsim.manifest import (
     ACTIVITY,
     RECEIVER,
@@ -68,6 +68,11 @@ from appvirtsim.worlds import (
     seeded_device,
 )
 from reference_dispatch import ReferenceDispatch, reference_world, shared_tables
+
+
+def payload_manifest(world):
+    """The payload manifest a cloaked build's first run loaded as a plugin."""
+    return world.container.plugins[default_catalog().package].manifest
 
 
 @pytest.fixture
@@ -448,17 +453,19 @@ def _fresh_records(counts, seed) -> dict:
 def test_seed_stores_matches_a_fresh_generation_whatever_came_before(scenario):
     a = dict(DEFAULT_STORE_COUNTS)
     b = {"contacts": 4, "sms": 1}
-    devices = []
     for seed, counts in ((7, a), (7, b), (7, a), (8, a), (8, a)):
-        os = seeded_device(replace(scenario, seed=seed, store_counts=counts))
+        os = SimOs()
+        seed_stores(os, counts, seed)
         expected = _fresh_records(counts, seed)
         for store, records in os.data_stores.items():
             assert type(records) is tuple
             assert list(records) == expected.get(store, [])
-        devices.append(os)
-    # The last two devices share one seed and one set of counts: the second
-    # forks the device cached for the first instead of seeding again.
-    assert all(devices[3].data_stores[s] is devices[4].data_stores[s] for s in a)
+    devices = [seeded_device(replace(scenario, seed=seed)) for seed in (7, 8, 8)]
+    for device, seed in zip(devices, (7, 8, 8)):
+        assert {s: list(r) for s, r in device.data_stores.items()} == _fresh_records(a, seed)
+    # The last two devices share one seed: the second forks the device cached
+    # for the first instead of seeding again.
+    assert all(devices[1].data_stores[s] is devices[2].data_stores[s] for s in a)
 
 
 def test_seeded_devices_share_records_and_start_pristine(scenario):
@@ -470,25 +477,13 @@ def test_seeded_devices_share_records_and_start_pristine(scenario):
     second = seeded_device(scenario)
     assert all(first.data_stores[s] is second.data_stores[s] for s in first.data_stores)
     fresh = SimOs()
-    seed_stores(fresh, scenario.store_counts, scenario.seed)
+    seed_stores(fresh, DEFAULT_STORE_COUNTS, scenario.seed)
     assert world_signature(second, None) == world_signature(fresh, None)
 
 
 def test_a_scenario_cannot_change_after_its_check(scenario):
     with pytest.raises(FrozenInstanceError):
         scenario.victim = scenario.template
-    with pytest.raises(TypeError):
-        scenario.store_counts["contacts"] = 9
-
-
-def test_a_scenario_copies_the_counts_it_is_given(scenario):
-    counts = {"contacts": 4}
-    sc = replace(scenario, store_counts=counts)
-    counts["contacts"] = 9
-    counts["sms"] = 1
-    assert dict(sc.store_counts) == {"contacts": 4}
-    with pytest.raises(TypeError):
-        sc.store_counts["contacts"] = 9
 
 
 @pytest.mark.parametrize("role", ["template", "companion", "catalog"])
@@ -585,11 +580,11 @@ def test_tick_services_appends_each_services_records_in_order():
     sc = default_scenario()
     world = build_cloaked_world(sc)
     stores = SimOs()
-    seed_stores(stores, sc.store_counts, sc.seed)
-    granted = world.customization.addon.permissions
+    seed_stores(stores, DEFAULT_STORE_COUNTS, sc.seed)
+    granted = world.container.addon_manifest.permissions
     expected = [
         (svc.payload, record)
-        for svc in world.customization.malicious.services
+        for svc in payload_manifest(world).services
         if perms.STORE_GUARDS[perms.PAYLOAD_STORES[svc.payload]] in granted
         for record in stores.data_stores[perms.PAYLOAD_STORES[svc.payload]]
     ]
@@ -729,7 +724,7 @@ def test_call_from_killed_plugin_is_a_typed_api_error():
     # is refused as a modelled failure, not an internal lookup error.
     world = build_cloaked_world(default_scenario())
     os, c = world.os, world.container
-    payload_pid = c.plugin_processes[world.customization.malicious.package]
+    payload_pid = c.plugin_processes[payload_manifest(world).package]
     plugin_syscall(os, c, payload_pid, ApiCall(
         "kill_background_processes", package=c.addon_package))
     with pytest.raises(PluginGoneError) as excinfo:
@@ -748,7 +743,7 @@ def test_cloaked_world_builds_without_the_host_filesystem(monkeypatch):
         monkeypatch.setattr(target, refuse)
     world = build_cloaked_world(default_scenario())
     assert set(world.container.plugin_processes) == {
-        world.customization.malicious.package, world.probe_manifest.package,
+        payload_manifest(world).package, world.probe_manifest.package,
     }
 
 
@@ -776,7 +771,7 @@ def test_second_start_service_does_not_double_the_sweep():
     os, c = world.os, world.container
     tick_services(os, c)
     assert len(os.exfil_sink) == 5
-    payload_pid = c.plugin_processes[world.customization.malicious.package]
+    payload_pid = c.plugin_processes[payload_manifest(world).package]
     plugin_syscall(os, c, payload_pid, ApiCall("start_service", name="QuickChatContactsService"))
     before = len(os.exfil_sink)
     tick_services(os, c)
@@ -791,7 +786,7 @@ def test_tick_services_reaps_a_dead_plugin():
     victim, victim_pid = world.probe_manifest.package, world.probe_pid
     uid = os.registry[c.addon_package].uid
     assert (uid, ".MsgReceiver") in os.dynamic_receivers
-    payload_pid = c.plugin_processes[world.customization.malicious.package]
+    payload_pid = c.plugin_processes[payload_manifest(world).package]
     assert plugin_syscall(os, c, payload_pid, ApiCall(
         "kill_background_processes", package=c.addon_package)) == 2
     tick_services(os, c)
@@ -874,7 +869,7 @@ def test_first_run_in_a_dead_container_is_a_typed_error():
     # included; a later first run is refused before its first system call.
     world = build_cloaked_world(default_scenario()).fork()
     os, c = world.os, world.container
-    malicious = world.customization.malicious
+    malicious = payload_manifest(world)
     assert plugin_syscall(os, c, c.plugin_processes[malicious.package], ApiCall(
         "kill_background_processes", package=c.addon_package)) == 2
     tick_services(os, c)
@@ -891,7 +886,7 @@ def test_load_plugin_in_a_dead_container_is_a_typed_error(companion):
     # plugin load is refused before it spawns anything.
     world = build_cloaked_world(default_scenario()).fork()
     os, c = world.os, world.container
-    plugin_syscall(os, c, c.plugin_processes[world.customization.malicious.package], ApiCall(
+    plugin_syscall(os, c, c.plugin_processes[payload_manifest(world).package], ApiCall(
         "kill_background_processes", package=c.addon_package))
     tick_services(os, c)
     next_pid, processes, plugins = os.next_pid, dict(os.processes), dict(c.plugin_processes)
@@ -1163,7 +1158,7 @@ class PluginLifecycle(RuleBasedStateMachine):
         super().__init__()
         world = _dispatch_worlds()[CLOAKED_ENV][0].fork()
         self.os, self.c = world.os, world.container
-        self.victim, self.payload = world.probe_manifest.package, world.customization.malicious
+        self.victim, self.payload = world.probe_manifest.package, payload_manifest(world)
         self.sink = list(self.os.exfil_sink)
         self.plugin_pids = {record.pid for record in self.c.plugins.values()}
 

@@ -22,6 +22,7 @@ from appvirtsim.worlds import (
     build_cloaked_world,
     build_naive_world,
     build_native_world,
+    seed_stores,
 )
 from conftest import unhooked
 from raw_oracles import ORACLES
@@ -80,15 +81,20 @@ def random_world(seed: int):
         catalog=default_catalog(),
         companion=random_companion(rng, seed),
         seed=rng.randint(0, 10_000),
-        store_counts={s: rng.randint(0, 3) for s in perms.STORE_NAMES},
     )
+    # No build reads a data store, so filling them afresh after the build
+    # gives each world its own store sizes, empty ones included.
+    counts = {s: rng.randint(0, 3) for s in perms.STORE_NAMES}
     kind = rng.choice(("native", "naive", "cloaked"))
     if kind == "native":
-        return build_native_world(scenario)
-    if kind == "naive":
-        return build_naive_world(scenario)
-    dropped = tuple(l for l in CLOAK_HOOK_LABELS if rng.random() < 0.3)
-    return unhooked(build_cloaked_world(scenario), dropped)
+        world = build_native_world(scenario)
+    elif kind == "naive":
+        world = build_naive_world(scenario)
+    else:
+        dropped = tuple(l for l in CLOAK_HOOK_LABELS if rng.random() < 0.3)
+        world = unhooked(build_cloaked_world(scenario), dropped)
+    seed_stores(world.os, counts, scenario.seed)
+    return world
 
 
 @pytest.mark.parametrize("mechanism", sorted(ORACLES, key=int))

@@ -268,7 +268,7 @@ def test_second_first_run_changes_nothing(worlds_by_env):
     fork = parent.fork()
     with pytest.raises(AlreadyLoadedError):
         first_run(fork.os, fork.container, fork.probe_manifest.package,
-                  fork.customization.malicious)
+                  fork.container.plugins[default_catalog().package].manifest)
     assert world_state(fork) == world_state(parent)
 
 
