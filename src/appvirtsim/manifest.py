@@ -1,4 +1,4 @@
-"""Declarative app manifests: data model, file format, extraction queries.
+"""Declarative app manifests: data model, file format, launcher query.
 
 A manifest document is a strict JSON object describing a simulated app:
 
@@ -31,7 +31,7 @@ boolean launcher and stub flags, and strings elsewhere (payload and the
 shortcut resources may be None). A manifest built in code therefore
 survives serialize_manifest and parse_manifest unchanged.
 
-All types here are immutable; parsing and the extraction queries are pure
+All types here are immutable; parsing and ``launcher_activity`` are pure
 functions, safe to call from any thread.
 """
 
@@ -386,12 +386,7 @@ def write_manifest_file(path, m: AppManifest) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Extraction queries
-
-
-def extract_components(m: AppManifest) -> list[tuple[str, str]]:
-    """(kind, name) pairs: activities, services, receivers, providers, in declaration order."""
-    return [(c.kind, c.name) for c in m.components()]
+# Launcher query
 
 
 def launcher_activity(m: AppManifest) -> Component | None:
@@ -399,10 +394,3 @@ def launcher_activity(m: AppManifest) -> Component | None:
         if act.launcher:
             return act
     return None
-
-
-def extract_launcher_resources(m: AppManifest) -> tuple[str, str]:
-    """(launcher icon, display label). Raises NoLauncherError without a launcher."""
-    if launcher_activity(m) is None:
-        raise NoLauncherError(f"{m.package}: no launcher activity declared")
-    return m.launcher_icon, m.label

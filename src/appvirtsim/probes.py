@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .artmodel import MIN_INVOCATIONS, SENTINEL
-from .manifest import extract_components
 from .permissions import DANGEROUS_PERMISSIONS, STORE_GUARDS
 from .simos import (
     AccessDeniedError,
@@ -47,8 +47,7 @@ class Verdict(str, enum.Enum):
         ]
 
 
-@dataclass(frozen=True)
-class ProbeOutcome:
+class ProbeOutcome(NamedTuple):
     """One mechanism's verdict plus human-readable evidence."""
 
     probe: str
@@ -162,7 +161,7 @@ def _probe_4(h: EnvHandle):
 
 def _probe_5(h: EnvHandle):
     """Scan recent and running tasks for components the app never declared."""
-    own_names = {name for _, name in extract_components(h.declared)}
+    own_names = {c.name for c in h.declared.components()}
     tasks = list(h.call(_RECENT_TASKS))
     tasks += list(h.call(_RUNNING_TASKS))
     foreign = sorted({name for _, name in tasks if name not in own_names})
@@ -285,7 +284,7 @@ def _probe_14(h: EnvHandle):
         info = h.call(ApiCall("get_package_info", package=h.own_package))
     except PackageNotFoundError:
         return Verdict.VIRTUAL_DETECTED, "own component list unavailable: package not installed"
-    declared = sorted((k, n) for k, n in extract_components(h.declared))
+    declared = sorted((c.kind, c.name) for c in h.declared.components())
     reported = sorted((k, n) for k, n in info["components"])
     if declared != reported:
         return Verdict.VIRTUAL_DETECTED, (
@@ -324,10 +323,10 @@ def _probe_15(h: EnvHandle):
 
 def _probe_16(h: EnvHandle):
     """Toggle one of the app's own components at runtime."""
-    components = extract_components(h.declared)
+    components = h.declared.components()
     if not components:
         return Verdict.INCONCLUSIVE, "no components declared"
-    kind, name = components[0]
+    kind, name = components[0].kind, components[0].name
     try:
         h.call(ApiCall("set_component_enabled", component_kind=kind, name=name))
     except ComponentNotRegisteredError:

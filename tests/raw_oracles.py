@@ -105,7 +105,7 @@ def oracle_9(world):
     elif HOOK_DATA_DIR in _hook_labels(world):
         data_dir = f"/data/data/{package}"
     else:
-        data_dir = world.container.plugin_data_dirs[package]
+        data_dir = world.container.plugins[package].data_dir
     return CLEAN if data_dir == f"/data/data/{package}" else DETECTED
 
 
@@ -114,7 +114,7 @@ def oracle_10(world):
     if world.container is None or package in world.os.registry:
         source = world.os.registry[package].apk_path
     else:
-        source = world.container.plugin_apk_paths[package]
+        source = world.container.plugins[package].apk_path
     return CLEAN if source == f"/data/app/{package}/base.apk" else DETECTED
 
 
@@ -152,7 +152,7 @@ def oracle_13(world):
         declared = addon.component(SERVICE, name)
         if declared is not None and not declared.stub:
             continue
-        if (package, SERVICE, name) in c.component_stub_map:
+        if (package, SERVICE, name) in c.stub_assignments.values():
             continue
         if free_stubs > 0:
             free_stubs -= 1

@@ -15,7 +15,7 @@ from appvirtsim.manifest import (
     KIND_KEYS,
     AppManifest,
     Component,
-    extract_launcher_resources,
+    NoLauncherError,
 )
 from appvirtsim.permissions import ADDON_EXTRA_PERMISSIONS
 
@@ -115,9 +115,11 @@ def step3_components(
 
 
 def step4_resources(victim: AppManifest, addon: AppManifest) -> AppManifest:
-    """Store the victim's launcher icon and label as the add-on's shortcut resources."""
-    icon, label = extract_launcher_resources(victim)
-    return replace(addon, shortcut_icon=icon, shortcut_label=label)
+    """Store the victim's launcher icon and label as the add-on's shortcut
+    resources; a victim with no launcher activity has none to give."""
+    if not any(act.launcher for act in victim.activities):
+        raise NoLauncherError(f"{victim.package}: no launcher activity declared")
+    return replace(addon, shortcut_icon=victim.launcher_icon, shortcut_label=victim.label)
 
 
 def reference_customize(victim: AppManifest, addon_template: AppManifest,

@@ -90,7 +90,7 @@ class ReferenceDispatch:
     # -- stubs ---------------------------------------------------------------
 
     def name_out(self, c, package: str, kind: str, name: str) -> str:
-        if c.plugin_manifests[package].component(kind, name) is None:  # as the OS would
+        if c.plugins[package].manifest.component(kind, name) is None:  # as the OS would
             raise ComponentNotRegisteredError(f"{name} is not a registered {kind} of {package}")
         declared = c.addon_manifest.component(kind, name)
         if declared is not None and not declared.stub:
@@ -132,9 +132,9 @@ class ReferenceDispatch:
         replacements = [h for h in hooks if h.mode == REPLACE]
         if replacements:
             reply = replacements[0].fn(call)
-        elif call.kind == "get_application_info" and call.package in c.plugin_manifests:
-            reply = {"package": call.package, "source_dir": c.plugin_apk_paths[call.package],
-                     "data_dir": c.plugin_data_dirs[call.package]}
+        elif call.kind == "get_application_info" and call.package in c.plugins:
+            reply = {"package": call.package, "source_dir": c.plugins[call.package].apk_path,
+                     "data_dir": c.plugins[call.package].data_dir}
         elif call.kind in LAUNCH_KINDS:
             wire = self.name_out(c, owners[0], LAUNCH_KINDS[call.kind], call.name or "")
             reply = self.name_back(os.syscall(caller, call._replace(name=wire)))
@@ -151,7 +151,7 @@ class ReferenceDispatch:
         manifest = c.plugins.pop(package).manifest
         self.stubs = {key: stub for key, stub in self.stubs.items() if key[0] != package}
         uid = os.registry[c.addon_package].uid
-        live = {r.name for m in c.plugin_manifests.values() for r in m.receivers}
+        live = {r.name for p in c.plugins.values() for r in p.manifest.receivers}
         for receiver in manifest.receivers:
             if receiver.name not in live:
                 os.dynamic_receivers.pop((uid, receiver.name), None)
@@ -166,7 +166,7 @@ class ReferenceDispatch:
                                   "detail": f"{package}: process {pid} is gone; not ticked"})
                 self.reap(os, c, package)
                 continue
-            services = {s.name: s for s in c.plugin_manifests[package].services}
+            services = {s.name: s for s in c.plugins[package].manifest.services}
             for wire_name in proc.running_services:
                 service = services.get(self.name_back(wire_name))
                 if service is None or service.payload is None:

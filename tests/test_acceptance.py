@@ -25,7 +25,6 @@ from appvirtsim.defaults import (
     default_template,
     default_victim,
 )
-from appvirtsim.manifest import extract_components
 from appvirtsim.probes import PROBE_IDS, Verdict, run_matrix, run_probe, run_probes_on_world
 from appvirtsim.simos import ApiCall
 from appvirtsim.worlds import (
@@ -91,8 +90,8 @@ def test_criterion_2_customization_laws_on_corpus():
                 assert result.addon.permissions == victim.permissions | EXTRAS
                 assert result.malicious.permissions <= victim.permissions
                 addon_pairs = {(c.kind, c.name) for c in result.addon.components()}
-                for pair in extract_components(victim):
-                    assert pair in addon_pairs
+                for comp in victim.components():
+                    assert (comp.kind, comp.name) in addon_pairs
             per_addon_means.append(statistics.fmean(durations))
         mean_ms = statistics.fmean(per_addon_means)
         assert mean_ms < 100.0, f"mean per-addon duration {mean_ms:.3f} ms"

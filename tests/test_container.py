@@ -117,10 +117,10 @@ def test_load_plugin_shares_uid_not_pid(hosted, victim, template):
     assert os.processes[pid].uid == addon_uid
     assert pid != c.container_pid
     assert victim.package not in os.registry  # loaded, never installed
-    assert c.plugin_data_dirs[victim.package] == (
+    assert c.plugins[victim.package].data_dir == (
         f"/data/data/{template.package}/Plugin/{victim.package}"
     )
-    assert c.plugin_apk_paths[victim.package] == (
+    assert c.plugins[victim.package].apk_path == (
         f"/data/data/{template.package}/Plugin/{victim.package}/base.apk"
     )
 
@@ -703,8 +703,7 @@ def test_fork_hook_and_mkdir_leave_parent_alone(hosted):
     assert os.fs_dirs == dirs
 
 
-@pytest.mark.parametrize("view", ("plugin_manifests", "plugin_processes", "plugin_apk_paths",
-                                  "plugin_data_dirs", "component_stub_map"))
+@pytest.mark.parametrize("view", ("plugin_processes",))
 def test_views_refuse_writes(view):
     # A view is rebuilt from its store on every read, so a write through it
     # would be lost; it raises instead, and the store is left as it was.
@@ -790,11 +789,8 @@ def test_tick_services_reaps_a_dead_plugin():
     assert plugin_syscall(os, c, payload_pid, ApiCall(
         "kill_background_processes", package=c.addon_package)) == 2
     tick_services(os, c)
-    for table in (c.plugin_manifests, c.plugin_processes, c.plugin_apk_paths,
-                  c.plugin_data_dirs):
-        assert victim not in table
+    assert victim not in c.plugins
     assert all(owner != victim for owner, _, _ in c.stub_assignments.values())
-    assert all(key[0] != victim for key in c.component_stub_map)
     assert (uid, ".MsgReceiver") not in os.dynamic_receivers
     assert c.foreground_plugin is None
     assert set(c.plugin_processes.values()) <= set(os.processes)
@@ -978,7 +974,7 @@ def _call_values() -> dict:
     for real, _ in _dispatch_worlds().values():
         manifests.update(r.manifest for r in real.os.registry.values())
         if real.container is not None:
-            manifests.update(real.container.plugin_manifests.values())
+            manifests.update(r.manifest for r in real.container.plugins.values())
     components = [comp for m in manifests for comp in m.components()]
     return {
         "package": sorted({m.package for m in manifests} | {"no.such.app"}),
@@ -1232,10 +1228,11 @@ class PluginLifecycle(RuleBasedStateMachine):
     def sweep_bound(self) -> int:
         """The records one read by each running payload service returns, read on a fork."""
         os, c, bound = self.os.fork(), self.c.fork(), 0
+        stub_of = {key: stub for stub, key in c.stub_assignments.items()}
         for package, record in c.plugins.items():
             proc = os.processes.get(record.pid)
             for service in record.manifest.services if proc is not None else ():
-                wire_name = c.component_stub_map.get((package, SERVICE, service.name), service.name)
+                wire_name = stub_of.get((package, SERVICE, service.name), service.name)
                 if service.payload is not None and wire_name in proc.running_services:
                     read = ApiCall("access_resource", store=perms.PAYLOAD_STORES[service.payload])
                     try:

@@ -22,7 +22,6 @@ from appvirtsim.manifest import (
     Component,
     NoLauncherError,
     SchemaError,
-    extract_components,
     serialize_manifest,
 )
 from reference_customization import reference_customize
@@ -170,8 +169,10 @@ def test_step4_resources(victim, template, catalog):
 
 
 def test_step4_requires_launcher(template, catalog):
-    with pytest.raises(NoLauncherError):
-        customize(AppManifest("org.bare.app", label="Bare"), template, catalog)
+    bare = AppManifest("org.bare.app", label="Bare")
+    for pipeline in (customize, reference_customize):
+        with pytest.raises(NoLauncherError, match="^org.bare.app: no launcher activity declared$"):
+            pipeline(bare, template, catalog)
 
 
 def test_customize_end_to_end(victim, template, catalog):
@@ -246,8 +247,8 @@ def test_least_privilege_law(v):
 def test_component_embedding_law(v):
     result = customize(v, default_template(), default_catalog())
     addon_pairs = [(c.kind, c.name) for c in result.addon.components()]
-    for kind, name in extract_components(v):
-        assert addon_pairs.count((kind, name)) == 1
+    for comp in v.components():
+        assert addon_pairs.count((comp.kind, comp.name)) == 1
 
 
 # ---------------------------------------------------------------------------

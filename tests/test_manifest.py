@@ -16,10 +16,8 @@ from appvirtsim.manifest import (
     Component,
     DuplicateComponentError,
     MultipleLauncherError,
-    NoLauncherError,
     SchemaError,
-    extract_components,
-    extract_launcher_resources,
+    launcher_activity,
     parse_manifest,
     serialize_manifest,
 )
@@ -49,8 +47,8 @@ def test_parse_sample_fixture():
     assert m.permissions == frozenset({
         perms.READ_CONTACTS, perms.READ_SMS, perms.INTERNET,
     })
-    assert len(extract_components(m)) == 4
-    assert extract_launcher_resources(m) == ("ic_samplechat.png", "SampleChat")
+    assert len(m.components()) == 4
+    assert (m.launcher_icon, m.label) == ("ic_samplechat.png", "SampleChat")
 
 
 def test_duplicate_component_names_rejected():
@@ -216,13 +214,13 @@ def test_extract_components_order():
         activities=(Component(name=".Main", kind=ACTIVITY),),
         services=(Component(name=".Sync", kind=SERVICE),),
     )
-    assert extract_components(m) == [(ACTIVITY, ".Main"), (SERVICE, ".Sync")]
-    assert extract_components(AppManifest(package="a.b")) == []
+    assert [(c.kind, c.name) for c in m.components()] == [(ACTIVITY, ".Main"), (SERVICE, ".Sync")]
+    assert AppManifest(package="a.b").components() == ()
 
 
 def test_extract_components_template_order(template):
     # Fixture oracle: the host template's stubs in declaration order.
-    assert extract_components(template) == [
+    assert [(c.kind, c.name) for c in template.components()] == [
         (ACTIVITY, "PluginSetupActivity"),
         (ACTIVITY, "PluginStubActivity0"),
         (ACTIVITY, "PluginStubActivity1"),
@@ -233,11 +231,10 @@ def test_extract_components_template_order(template):
     ]
 
 
-def test_extract_launcher_resources(victim, template):
-    assert extract_launcher_resources(victim) == ("ic_launcher.png", "QuickChat")
-    assert extract_launcher_resources(template) == ("ic_host.png", "Plugin Host")
-    with pytest.raises(NoLauncherError):
-        extract_launcher_resources(AppManifest(package="a.b"))
+def test_launcher_activity(victim, template):
+    assert launcher_activity(victim) == victim.activities[0]
+    assert launcher_activity(template).name == "PluginSetupActivity"
+    assert launcher_activity(AppManifest(package="a.b")) is None
 
 
 def test_catalog_validation(catalog):
@@ -333,7 +330,7 @@ def test_round_trip_is_total_over_scalar_fields(kind, values):
 
 @given(manifests())
 def test_component_extraction_is_total(m):
-    assert len(extract_components(m)) == (
+    assert len(m.components()) == (
         len(m.activities) + len(m.services) + len(m.receivers) + len(m.providers)
     )
 

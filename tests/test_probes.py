@@ -160,13 +160,9 @@ def world_state(world):
         "exfil_sink": os.exfil_sink,
         "shortcuts": os.shortcuts,
         "fs_dirs": os.fs_dirs,
-        # The read-only views as dicts, so that a state can be deep-copied.
-        "plugin_manifests": c and dict(c.plugin_manifests),
-        "plugin_pids": c and dict(c.plugin_processes),
-        "plugin_apk_paths": c and dict(c.plugin_apk_paths),
-        "plugin_data_dirs": c and dict(c.plugin_data_dirs),
+        # PluginRecords compare by value: manifest, pid, code path and data dir.
+        "plugins": c and c.plugins,
         "stub_assignments": c and c.stub_assignments,
-        "component_stub_map": c and dict(c.component_stub_map),
         "foreground_plugin": c and c.foreground_plugin,
         "hook_labels": c and [h.label for h in c.hooks],
         "run_log": c and c.run_log,
@@ -279,7 +275,7 @@ def operations(world):
     """Any call the probe app can make, with arguments drawn from the names
     it knows and a few it does not; container worlds can also tick."""
     os, c = world.os, world.container
-    packages = sorted(set(os.registry) | set(c.plugin_manifests if c else ()))
+    packages = sorted(set(os.registry) | set(c.plugins if c else ()))
     packages.append("org.absent.app")
     declared = world.probe_manifest
     absent = [".Absent"]
