@@ -17,10 +17,10 @@ own manifest does not declare takes no stub: it is a
 ComponentNotRegisteredError, as it is natively. Hooks layer attack/bypass
 behavior on top of that baseline.
 
-Each loaded plugin is one frozen PluginRecord in ``ContainerState.plugins``,
-the one plugin store, and each assigned stub one entry in ``stub_assignments``;
-callers read both directly. ``plugin_processes`` (package -> pid) is the one
-read-only view of ``plugins``.
+``ContainerState.addon`` is the registry's record of the add-on; its manifest's
+stub-flagged components are the stubs. Each loaded plugin is one PluginRecord
+in ``plugins`` and each assigned stub one entry in ``stub_assignments``; callers
+read all three directly. ``plugin_processes`` (package -> pid) is a read-only view.
 
 All mutation happens through the owning scenario thread; simulated
 background services advance only when tick_services is called.
@@ -33,7 +33,7 @@ from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .manifest import ACTIVITY, AppManifest, Component, launcher_activity
+from .manifest import ACTIVITY, KIND_KEYS, AppManifest, launcher_activity
 from .permissions import PAYLOAD_STORES
 from .simos import (
     API_KINDS,
@@ -42,10 +42,13 @@ from .simos import (
     ApiCall,
     ApiError,
     ComponentNotRegisteredError,
+    PackageRecord,
     SimOs,
     SimOsError,
     UnknownPackageError,
 )
+
+PLUGIN_ROOT = "Plugin"  # a plugin's own directory is <add-on data dir>/Plugin/<package>
 
 PROXY = "proxy"
 LOWLEVEL = "lowlevel"
@@ -130,11 +133,8 @@ class PluginRecord:
 
 @dataclass
 class ContainerState:
-    addon_package: str
-    addon_manifest: AppManifest
+    addon: PackageRecord  # the registry's own record of the add-on; its manifest has the stubs
     container_pid: int
-    plugin_data_root: str
-    stub_components: tuple[Component, ...] = ()
     # The one plugin store, package -> PluginRecord; view: plugin_processes.
     plugins: dict[str, PluginRecord] = field(default_factory=dict)
     # The one stub store, stub -> (plugin package, kind, real name).
@@ -157,19 +157,16 @@ class ContainerState:
         return MappingProxyType({p: r.pid for p, r in self.plugins.items()})
 
     def fork(self) -> ContainerState:
-        """An independent copy: the three stores and the run log are copied
-        shallowly; ``hooks`` and ``plugin_processes`` derive from the copies.
-        Frozen plugin records, manifests and stubs, hook groups (tuples that
+        """An independent copy: the plugin, stub and hook stores and the run log
+        are copied shallowly; ``hooks`` and ``plugin_processes`` derive from the
+        copies. The frozen add-on and plugin records, hook groups (tuples that
         install and uninstall rebind) and the run-log entry dicts are shared:
         nothing writes an entry once appended, and the report document copies
         each one. Each field is set directly, without the constructor, as
         ``SimOs.fork`` does."""
         other = ContainerState.__new__(ContainerState)
-        other.addon_package = self.addon_package
-        other.addon_manifest = self.addon_manifest
+        other.addon = self.addon
         other.container_pid = self.container_pid
-        other.plugin_data_root = self.plugin_data_root
-        other.stub_components = self.stub_components
         other.plugins = dict(self.plugins)
         other.stub_assignments = dict(self.stub_assignments)
         other.foreground_plugin = self.foreground_plugin
@@ -189,21 +186,15 @@ def create_container(os: SimOs, addon: AppManifest) -> ContainerState:
         name=addon.package,
         maps=[record.apk_path, f"/data/app/{addon.package}/lib/libhost.so"],
     )
-    plugin_root = f"{record.data_dir}/Plugin"
-    os.mkdir(plugin_root)
-    return ContainerState(
-        addon_package=addon.package,
-        addon_manifest=record.manifest,
-        container_pid=pid,
-        plugin_data_root=plugin_root,
-        stub_components=tuple(c for c in record.manifest.components() if c.stub),
-    )
+    os.mkdir(f"{record.data_dir}/{PLUGIN_ROOT}")
+    return ContainerState(addon=record, container_pid=pid)
 
 
 def _require_container(os: SimOs, c: ContainerState) -> None:
     """The one rule for a dead container: nothing more runs in it."""
     if c.container_pid not in os.processes:
-        raise ContainerGoneError(f"{c.addon_package}: container process {c.container_pid} is gone")
+        raise ContainerGoneError(
+            f"{c.addon.manifest.package}: container process {c.container_pid} is gone")
 
 
 def _require_loadable(c: ContainerState, plugin: AppManifest) -> None:
@@ -219,9 +210,9 @@ def load_plugin(os: SimOs, c: ContainerState, plugin: AppManifest) -> int:
     """Fork a shared-UID process for a plugin and wire it into the environment.
 
     The container decides the plugin's file layout. Its private directory is
-    ``<plugin_data_root>/<package>`` under the add-on. Its code is the native
-    APK when the package happens to be installed on the device, and
-    ``<plugin_data_root>/<package>/base.apk`` otherwise; application-info
+    ``<add-on data dir>/Plugin/<package>``. Its code is the native APK when
+    the package happens to be installed on the device, and
+    ``<add-on data dir>/Plugin/<package>/base.apk`` otherwise; application-info
     queries for the plugin report both. The plugin itself is not installed:
     its receivers are registered dynamically, and its launcher activity
     (when present) is opened through the dispatch pipeline, taking
@@ -234,15 +225,12 @@ def load_plugin(os: SimOs, c: ContainerState, plugin: AppManifest) -> int:
     launcher = launcher_activity(plugin)
     if launcher is not None:
         _stub_out(c, (plugin.package, ACTIVITY, launcher.name))
-    data_dir = f"{c.plugin_data_root}/{plugin.package}"
+    data_dir = f"{c.addon.data_dir}/{PLUGIN_ROOT}/{plugin.package}"
     record = os.registry.get(plugin.package)
     apk_path = record.apk_path if record is not None else f"{data_dir}/base.apk"
-    addon_record = os.registry[c.addon_package]
-    pid = os.spawn_process(
-        c.addon_package,
-        name=f"{c.addon_package}:p{c.plugin_loads + 1}",
-        maps=[addon_record.apk_path, apk_path],
-    )
+    host = c.addon.manifest.package
+    pid = os.spawn_process(host, name=f"{host}:p{c.plugin_loads + 1}",
+                           maps=[c.addon.apk_path, apk_path])
     c.plugin_loads += 1
     os.mkdir(data_dir)
     c.plugins[plugin.package] = PluginRecord(plugin, pid, apk_path, data_dir)
@@ -284,14 +272,14 @@ def _stub_out(c: ContainerState, key: tuple[str, str, str]) -> str | None:
     under: the one assigned to it, else the first free stub of its kind; None
     when the add-on declares the component verbatim. Assigns nothing."""
     package, kind, name = key
-    declared = c.addon_manifest.component(kind, name)
+    declared = c.addon.manifest.component(kind, name)
     if declared is not None and not declared.stub:
         return None
     for stub_name, assigned in c.stub_assignments.items():
         if assigned == key:
             return stub_name
-    for stub in c.stub_components:
-        if stub.kind == kind and stub.name not in c.stub_assignments:
+    for stub in getattr(c.addon.manifest, KIND_KEYS[kind]):
+        if stub.stub and stub.name not in c.stub_assignments:
             return stub.name
     raise NoFreeStubError(f"no free {kind} stub left for {package}/{name}")
 
@@ -304,12 +292,13 @@ def _map_name_back(c: ContainerState, name: str) -> str:
 def plugin_syscall(os: SimOs, c: ContainerState, caller: int, call: ApiCall):
     """Run one plugin call through hooks, baseline rewriting, and the OS."""
     if caller not in os.processes:  # a dead plugin may already be reaped
-        raise PluginGoneError(f"{c.addon_package}: process {caller} is gone")
+        raise PluginGoneError(f"{c.addon.manifest.package}: process {caller} is gone")
     for plugin_package, record in c.plugins.items():
         if record.pid == caller:
             break
     else:
-        raise NotAPluginError(f"pid {caller} is not a plugin process of {c.addon_package}")
+        raise NotAPluginError(
+            f"pid {caller} is not a plugin process of {c.addon.manifest.package}")
 
     on_target = c.hooks_by_target.get(call.kind)
     replacement = None
@@ -427,15 +416,15 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
     )
     _log(c, "kill_victim", package=victim_package, killed=killed)
 
-    addon = c.addon_manifest
+    addon = c.addon.manifest
     label = addon.shortcut_label or victim_record.manifest.label
     icon = addon.shortcut_icon or victim_record.manifest.launcher_icon
-    if (label, icon, c.addon_package) in os.shortcuts:
+    if (label, icon, addon.package) in os.shortcuts:
         _log(c, "warning", detail=f"shortcut ({label}, {icon}) already exists; creating another")
     os.syscall(c.container_pid, ApiCall(
-        "create_shortcut", label=label, icon=icon, target_package=c.addon_package
+        "create_shortcut", label=label, icon=icon, target_package=addon.package
     ))
-    _log(c, "create_shortcut", label=label, icon=icon, target=c.addon_package)
+    _log(c, "create_shortcut", label=label, icon=icon, target=addon.package)
 
     _log(c, "fetch_payload", document=f"{malicious.package}.json", package=malicious.package)
 
@@ -463,11 +452,10 @@ def _reap_plugin(os: SimOs, c: ContainerState, package: str) -> None:
     manifest = c.plugins.pop(package).manifest
     for stub_name in [s for s, key in c.stub_assignments.items() if key[0] == package]:
         del c.stub_assignments[stub_name]
-    uid = os.registry[c.addon_package].uid
     kept = {r.name for p in c.plugins.values() for r in p.manifest.receivers}
     for receiver in manifest.receivers:
         if receiver.name not in kept:
-            os.dynamic_receivers.pop((uid, receiver.name), None)
+            os.dynamic_receivers.pop((c.addon.uid, receiver.name), None)
     if c.foreground_plugin == package:
         c.foreground_plugin = None
 

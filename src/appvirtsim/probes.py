@@ -121,9 +121,9 @@ def _probe_1(h: EnvHandle):
 def _probe_2(h: EnvHandle):
     """Ask the package manager about the app's own package."""
     try:
-        h.call(ApiCall("get_package_info", package=h.own_package))
+        h.call(ApiCall("get_package_info", package=h.declared.package))
     except PackageNotFoundError:
-        return Verdict.VIRTUAL_DETECTED, f"{h.own_package} reported as not installed"
+        return Verdict.VIRTUAL_DETECTED, f"{h.declared.package} reported as not installed"
     return Verdict.CLEAN, "own package info returned"
 
 
@@ -152,7 +152,7 @@ def _probe_3(h: EnvHandle):
 def _probe_4(h: EnvHandle):
     """Look for the app's own package in the installed-packages list."""
     installed = h.call(_INSTALLED_PACKAGES)
-    if h.own_package in installed:
+    if h.declared.package in installed:
         return Verdict.CLEAN, "own package present in the installed list"
     return Verdict.VIRTUAL_DETECTED, (
         f"own package absent from installed list ({len(installed)} packages)"
@@ -186,12 +186,12 @@ def _probe_6(h: EnvHandle):
 def _probe_7(h: EnvHandle):
     """Compare same-UID process names against the app's expected name."""
     processes = h.call(_APP_PROCESSES)
-    alien = sorted({p["name"] for p in processes if p["name"] != h.own_package})
+    alien = sorted({p["name"] for p in processes if p["name"] != h.declared.package})
     if alien:
         return Verdict.VIRTUAL_DETECTED, (
             f"same-uid processes with foreign names: {', '.join(alien)}"
         )
-    return Verdict.CLEAN, f"{len(processes)} same-uid process(es), all named {h.own_package}"
+    return Verdict.CLEAN, f"{len(processes)} same-uid process(es), all named {h.declared.package}"
 
 
 def _parse_ps_lines(output: str) -> list[tuple[int, int, str]]:
@@ -221,8 +221,8 @@ def _probe_8(h: EnvHandle):
 
 def _probe_9(h: EnvHandle):
     """Check the private directory against the native pattern."""
-    info = h.call(ApiCall("get_application_info", package=h.own_package))
-    expected = f"/data/data/{h.own_package}"
+    info = h.call(ApiCall("get_application_info", package=h.declared.package))
+    expected = f"/data/data/{h.declared.package}"
     if info["data_dir"] != expected:
         return Verdict.VIRTUAL_DETECTED, f"private directory is {info['data_dir']}"
     return Verdict.CLEAN, f"private directory follows the native pattern {expected}"
@@ -230,8 +230,8 @@ def _probe_9(h: EnvHandle):
 
 def _probe_10(h: EnvHandle):
     """Check the reported code source against the native install path."""
-    info = h.call(ApiCall("get_application_info", package=h.own_package))
-    expected = f"/data/app/{h.own_package}/base.apk"
+    info = h.call(ApiCall("get_application_info", package=h.declared.package))
+    expected = f"/data/app/{h.declared.package}/base.apk"
     if info["source_dir"] != expected:
         return Verdict.VIRTUAL_DETECTED, f"code source is {info['source_dir']}"
     return Verdict.CLEAN, f"code source is the native {expected}"
@@ -243,7 +243,7 @@ def _probe_11(h: EnvHandle):
         maps = h.call(_PROC_MAPS)
     except AccessDeniedError:
         return Verdict.CLEAN, "process map read denied; no foreign apk path found"
-    own_apk = f"/data/app/{h.own_package}/base.apk"
+    own_apk = f"/data/app/{h.declared.package}/base.apk"
     foreign = [p for p in maps if p.endswith(".apk") and p != own_apk]
     if foreign:
         return Verdict.VIRTUAL_DETECTED, f"foreign apk mapped: {foreign[0]}"
@@ -256,7 +256,7 @@ def _probe_12(h: EnvHandle):
         maps = h.call(_PROC_MAPS)
     except AccessDeniedError:
         return Verdict.CLEAN, "process map read denied; no suspicious library path found"
-    prefix = f"/data/app/{h.own_package}/"
+    prefix = f"/data/app/{h.declared.package}/"
     suspicious = [p for p in maps if not p.startswith(prefix)]
     if suspicious:
         return Verdict.VIRTUAL_DETECTED, f"code loaded from outside {prefix}: {suspicious[0]}"
@@ -281,7 +281,7 @@ def _probe_13(h: EnvHandle):
 def _probe_14(h: EnvHandle):
     """Compare the package manager's component list against the declared one."""
     try:
-        info = h.call(ApiCall("get_package_info", package=h.own_package))
+        info = h.call(ApiCall("get_package_info", package=h.declared.package))
     except PackageNotFoundError:
         return Verdict.VIRTUAL_DETECTED, "own component list unavailable: package not installed"
     declared = sorted((c.kind, c.name) for c in h.declared.components())
@@ -340,7 +340,7 @@ def _probe_17(h: EnvHandle):
     if not native:
         return Verdict.CLEAN, "no native components declared; nothing is shared"
     component = native[0]
-    token = f"probe-token:{h.own_package}"
+    token = f"probe-token:{h.declared.package}"
     h.call(ApiCall("native_blob_write", name=component, token=token))
     entries = h.call(ApiCall("native_blob_read", name=component))
     own_writer = next(writer for writer, t in reversed(entries) if t == token)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .manifest import ACTIVITY, PROVIDER, SERVICE, AppManifest
+from .manifest import ACTIVITY, PROVIDER, RECEIVER, SERVICE, AppManifest
 from .permissions import (
     INSTALL_SHORTCUT,
     KILL_BACKGROUND_PROCESSES,
@@ -139,14 +139,14 @@ class ApiCall(_ApiCallFields):
 
 @dataclass(frozen=True)
 class PackageRecord:
-    """Installed-package metadata; no system call changes it, so forks share it."""
+    """Installed-package metadata; no system call changes it, so forks share it.
+    ``uid`` is ``UID_BASE`` plus the number of packages installed before it."""
 
     manifest: AppManifest
     uid: int
     apk_path: str
     data_dir: str
     granted_permissions: frozenset[str]
-    static_receivers: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,6 @@ class SimOs:
         self.registry: dict[str, PackageRecord] = {}
         self.processes: dict[int, SimProcess] = {}
         self.next_pid = FIRST_PID
-        self.next_uid = UID_BASE
         self.shortcuts: list[tuple[str, str, str]] = []
         # (uid, receiver name) -> actions it listens for
         self.dynamic_receivers: dict[tuple[int, str], tuple[str, ...]] = {}
@@ -189,7 +188,6 @@ class SimOs:
         other.registry = dict(self.registry)
         other.processes = dict(self.processes)
         other.next_pid = self.next_pid
-        other.next_uid = self.next_uid
         other.shortcuts = list(self.shortcuts)
         other.dynamic_receivers = dict(self.dynamic_receivers)
         other.data_stores = dict(self.data_stores)
@@ -215,19 +213,17 @@ class SimOs:
     # -- installation and processes ---------------------------------------
 
     def install(self, m: AppManifest) -> PackageRecord:
-        """Register a package: fresh UID, native paths, all declared permissions granted."""
+        """Register a package: native paths, declared permissions granted, and UID
+        ``UID_BASE`` plus the number installed before it (nothing uninstalls)."""
         if m.package in self.registry:
             raise AlreadyInstalledError(f"{m.package} is already installed")
-        uid = self.next_uid
-        self.next_uid += 1
         data_dir = f"/data/data/{m.package}"
         record = PackageRecord(
             manifest=m,
-            uid=uid,
+            uid=UID_BASE + len(self.registry),
             apk_path=f"/data/app/{m.package}/base.apk",
             data_dir=data_dir,
             granted_permissions=frozenset(m.permissions),
-            static_receivers=frozenset(r.name for r in m.receivers),
         )
         self.registry[m.package] = record
         self.mkdir(data_dir)
@@ -346,7 +342,7 @@ class SimOs:
     def _op_unregister_receiver(self, proc, call):
         record = self._identity(proc)
         name = call.name or ""
-        if name in record.static_receivers:
+        if record.manifest.component(RECEIVER, name) is not None:
             raise StaticReceiverError(
                 f"{name} is statically registered by {record.manifest.package}"
             )

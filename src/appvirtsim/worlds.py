@@ -119,7 +119,6 @@ class EnvHandle:
 
     def __init__(self, world: World):
         self.declared = world.probe_manifest
-        self.own_package = world.probe_manifest.package
         self.runtime = world.runtime
         if world.container is None:
             self.call = functools.partial(world.os.syscall, world.probe_pid)

@@ -142,10 +142,10 @@ def oracle_13(world):
     if world.container is None:
         return CLEAN  # every declared service is registered natively
     c = world.container
-    addon = c.addon_manifest
+    addon = c.addon.manifest
     free_stubs = sum(
-        1 for s in c.stub_components
-        if s.kind == SERVICE and s.name not in c.stub_assignments
+        1 for s in addon.services
+        if s.stub and s.name not in c.stub_assignments
     )
     package = world.probe_manifest.package
     for name in launches:
@@ -175,7 +175,7 @@ def oracle_15(world):
     receivers = world.probe_manifest.receivers
     if not receivers:
         return CLEAN
-    static = _identity_record(world).static_receivers
+    static = {r.name for r in _identity_record(world).manifest.receivers}
     if any(r.name in static for r in receivers):
         return CLEAN
     # All unregistrations would succeed; delivery survives only through a

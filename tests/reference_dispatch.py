@@ -42,7 +42,7 @@ def shared_tables(os, c) -> dict:
     """Every table that the container and the reference keep in the same place."""
     tables = {
         "registry": os.registry, "processes": os.processes, "next_pid": os.next_pid,
-        "next_uid": os.next_uid, "dynamic_receivers": os.dynamic_receivers,
+        "dynamic_receivers": os.dynamic_receivers,
         "data_stores": os.data_stores, "native_blobs": os.native_blobs,
         "exfil_sink": os.exfil_sink, "shortcuts": os.shortcuts, "fs_dirs": os.fs_dirs,
     }
@@ -92,14 +92,14 @@ class ReferenceDispatch:
     def name_out(self, c, package: str, kind: str, name: str) -> str:
         if c.plugins[package].manifest.component(kind, name) is None:  # as the OS would
             raise ComponentNotRegisteredError(f"{name} is not a registered {kind} of {package}")
-        declared = c.addon_manifest.component(kind, name)
+        declared = c.addon.manifest.component(kind, name)
         if declared is not None and not declared.stub:
             return name
         key = (package, kind, name)
         if key in self.stubs:
             return self.stubs[key]
-        for stub in c.stub_components:
-            if stub.kind == kind and stub.name not in self.stubs.values():
+        for stub in c.addon.manifest.components():
+            if stub.stub and stub.kind == kind and stub.name not in self.stubs.values():
                 self.stubs[key] = stub.name
                 return stub.name
         raise NoFreeStubError(f"no free {kind} stub left for {package}/{name}")
@@ -121,10 +121,11 @@ class ReferenceDispatch:
 
     def plugin_syscall(self, os, c, caller: int, call: ApiCall):
         if caller not in os.processes:
-            raise PluginGoneError(f"{c.addon_package}: process {caller} is gone")
+            raise PluginGoneError(f"{c.addon.manifest.package}: process {caller} is gone")
         owners = [package for package, pid in c.plugin_processes.items() if pid == caller]
         if not owners:
-            raise NotAPluginError(f"pid {caller} is not a plugin process of {c.addon_package}")
+            raise NotAPluginError(
+                f"pid {caller} is not a plugin process of {c.addon.manifest.package}")
         hooks = self.dispatch_order(call.kind)
         for h in hooks:
             if h.mode == BEFORE:
@@ -150,7 +151,7 @@ class ReferenceDispatch:
     def reap(self, os, c, package: str) -> None:
         manifest = c.plugins.pop(package).manifest
         self.stubs = {key: stub for key, stub in self.stubs.items() if key[0] != package}
-        uid = os.registry[c.addon_package].uid
+        uid = os.registry[c.addon.manifest.package].uid
         live = {r.name for p in c.plugins.values() for r in p.manifest.receivers}
         for receiver in manifest.receivers:
             if receiver.name not in live:

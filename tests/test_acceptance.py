@@ -113,7 +113,7 @@ def test_criterion_3_uid_and_path_semantics():
             )
             world = unhooked(build_cloaked_world(scenario), CLOAK_HOOK_LABELS)
             os, c = world.os, world.container
-            addon_uid = os.registry[c.addon_package].uid
+            addon_uid = os.registry[c.addon.manifest.package].uid
             assert c.plugin_processes, "first run loaded no plugins"
             for package, pid in c.plugin_processes.items():
                 assert os.processes[pid].uid == addon_uid
@@ -121,7 +121,7 @@ def test_criterion_3_uid_and_path_semantics():
                 info = plugin_syscall(os, c, pid, ApiCall(
                     "get_application_info", package=package))
                 assert info["data_dir"] == (
-                    f"/data/data/{c.addon_package}/Plugin/{package}"
+                    f"/data/data/{c.addon.manifest.package}/Plugin/{package}"
                 )
             install_cloaking_hookset(c, scenario.victim.package)
             for package, pid in c.plugin_processes.items():

@@ -548,7 +548,7 @@ def test_bench_hook_dispatch_times_the_hooked_kinds(tmp_path, monkeypatch):
     real = container.plugin_syscall
 
     def recording(os, c, caller, call):
-        seen.append((c.addon_package, call.kind, call.cmd, call.package))
+        seen.append((c.addon.manifest.package, call.kind, call.cmd, call.package))
         return real(os, c, caller, call)
 
     monkeypatch.setattr(container, "plugin_syscall", recording)

@@ -90,14 +90,24 @@ def test_create_requires_installed_addon(template):
         create_container(os, template)
 
 
+def addon_stubs(c) -> list:
+    """The add-on's stub-flagged components, in its manifest's canonical order."""
+    return [s for s in c.addon.manifest.components() if s.stub]
+
+
+TEMPLATE_STUBS = [
+    "PluginStubActivity0", "PluginStubActivity1", "PluginStubActivity2",
+    "PluginStubActivity3", "PluginServiceManager", "PluginStubProvider",
+]
+
+
 def test_create_over_template(hosted, template):
     os, c = hosted
-    assert [s.name for s in c.stub_components] == [
-        "PluginStubActivity0", "PluginStubActivity1", "PluginStubActivity2",
-        "PluginStubActivity3", "PluginServiceManager", "PluginStubProvider",
-    ]
+    assert c.addon is os.registry[template.package]
+    assert c.fork().addon is c.addon
+    assert [s.name for s in addon_stubs(c)] == TEMPLATE_STUBS
     assert os.registry[template.package].granted_permissions == set(perms.ALL_PERMISSIONS)
-    assert c.plugin_data_root == f"/data/data/{template.package}/Plugin"
+    assert f"/data/data/{template.package}/Plugin" in os.fs_dirs
 
 
 def test_create_over_customized_addon(victim, template, catalog):
@@ -105,9 +115,13 @@ def test_create_over_customized_addon(victim, template, catalog):
     result = customize(victim, template, catalog)
     os.install(result.addon)
     c = create_container(os, result.addon)
+    assert c.addon is os.registry[result.addon.package]
+    assert c.fork().addon is c.addon
     granted = os.registry[result.addon.package].granted_permissions
     assert granted == set(victim.permissions) | set(perms.ADDON_EXTRA_PERMISSIONS)
-    assert len(c.stub_components) == 6  # renamed, still tagged
+    stubs = [s.name for s in addon_stubs(c)]  # the template's six, renamed, still tagged
+    assert stubs == [result.rename_map[name] for name in TEMPLATE_STUBS]
+    assert not set(stubs) & set(TEMPLATE_STUBS)
 
 
 def test_load_plugin_shares_uid_not_pid(hosted, victim, template):
@@ -320,8 +334,7 @@ def test_hook_index_is_the_hook_list_by_target(ops):
     # what the reference's install-order list gives: lowlevel hooks before
     # proxy hooks, each layer in install order, no empty group. Later changes
     # to a fork leave its parent's index alone.
-    c = ContainerState("org.example.addon", AppManifest("org.example.addon"), 1,
-                       "/data/data/org.example.addon/Plugin")
+    c = ContainerState(SimOs().install(AppManifest("org.example.addon")), 1)
     ref = ReferenceDispatch()
     parents = []
     for op in ops:
@@ -536,7 +549,7 @@ def test_first_run_sequence(victim, template, catalog):
     assert steps == ["kill_victim", "create_shortcut", "fetch_payload",
                      "start_payload_services", "load_victim"]
     assert log[0]["killed"] == 1
-    assert ("QuickChat", "ic_launcher.png", c.addon_package) in os.shortcuts
+    assert ("QuickChat", "ic_launcher.png", c.addon.manifest.package) in os.shortcuts
     assert set(c.plugin_processes) == {result.malicious.package, victim.package}
     assert c.foreground_plugin == victim.package
     payload_pid = c.plugin_processes[result.malicious.package]
@@ -556,11 +569,11 @@ def test_first_run_with_victim_not_running(victim, template, catalog):
 
 def test_first_run_duplicate_shortcut_warns(victim, template, catalog):
     os, c, _, payload = build_attack_world(victim, template, catalog)
-    os.shortcuts.append(("QuickChat", "ic_launcher.png", c.addon_package))
+    os.shortcuts.append(("QuickChat", "ic_launcher.png", c.addon.manifest.package))
     log = first_run(os, c, victim.package, payload)
     warnings = [e for e in log if e["step"] == "warning"]
     assert any("already exists" in e["detail"] for e in warnings)
-    assert os.shortcuts.count(("QuickChat", "ic_launcher.png", c.addon_package)) == 2
+    assert os.shortcuts.count(("QuickChat", "ic_launcher.png", c.addon.manifest.package)) == 2
 
 
 def test_tick_services_exfiltrates_under_shared_uid(victim, template, catalog):
@@ -581,7 +594,7 @@ def test_tick_services_appends_each_services_records_in_order():
     world = build_cloaked_world(sc)
     stores = SimOs()
     seed_stores(stores, DEFAULT_STORE_COUNTS, sc.seed)
-    granted = world.container.addon_manifest.permissions
+    granted = world.container.addon.manifest.permissions
     expected = [
         (svc.payload, record)
         for svc in payload_manifest(world).services
@@ -675,7 +688,7 @@ def test_tick_services_skips_killed_plugin(victim, template, catalog):
     payload_pid = c.plugin_processes[result.malicious.package]
     victim_pid = c.plugin_processes[victim.package]
     killed = plugin_syscall(os, c, payload_pid, ApiCall(
-        "kill_background_processes", package=c.addon_package))
+        "kill_background_processes", package=c.addon.manifest.package))
     assert killed == 2
     assert victim_pid not in os.processes
     assert c.plugin_processes[victim.package] == victim_pid
@@ -725,7 +738,7 @@ def test_call_from_killed_plugin_is_a_typed_api_error():
     os, c = world.os, world.container
     payload_pid = c.plugin_processes[payload_manifest(world).package]
     plugin_syscall(os, c, payload_pid, ApiCall(
-        "kill_background_processes", package=c.addon_package))
+        "kill_background_processes", package=c.addon.manifest.package))
     with pytest.raises(PluginGoneError) as excinfo:
         plugin_syscall(os, c, world.probe_pid, ApiCall("get_installed_packages"))
     assert isinstance(excinfo.value, ApiError)
@@ -783,11 +796,11 @@ def test_tick_services_reaps_a_dead_plugin():
     world = build_cloaked_world(default_scenario())
     os, c = world.os, world.container
     victim, victim_pid = world.probe_manifest.package, world.probe_pid
-    uid = os.registry[c.addon_package].uid
+    uid = os.registry[c.addon.manifest.package].uid
     assert (uid, ".MsgReceiver") in os.dynamic_receivers
     payload_pid = c.plugin_processes[payload_manifest(world).package]
     assert plugin_syscall(os, c, payload_pid, ApiCall(
-        "kill_background_processes", package=c.addon_package)) == 2
+        "kill_background_processes", package=c.addon.manifest.package)) == 2
     tick_services(os, c)
     assert victim not in c.plugins
     assert all(owner != victim for owner, _, _ in c.stub_assignments.values())
@@ -867,7 +880,7 @@ def test_first_run_in_a_dead_container_is_a_typed_error():
     os, c = world.os, world.container
     malicious = payload_manifest(world)
     assert plugin_syscall(os, c, c.plugin_processes[malicious.package], ApiCall(
-        "kill_background_processes", package=c.addon_package)) == 2
+        "kill_background_processes", package=c.addon.manifest.package)) == 2
     tick_services(os, c)
     assert c.container_pid not in os.processes
     log, shortcuts, pids = list(c.run_log), list(os.shortcuts), set(os.processes)
@@ -883,7 +896,7 @@ def test_load_plugin_in_a_dead_container_is_a_typed_error(companion):
     world = build_cloaked_world(default_scenario()).fork()
     os, c = world.os, world.container
     plugin_syscall(os, c, c.plugin_processes[payload_manifest(world).package], ApiCall(
-        "kill_background_processes", package=c.addon_package))
+        "kill_background_processes", package=c.addon.manifest.package))
     tick_services(os, c)
     next_pid, processes, plugins = os.next_pid, dict(os.processes), dict(c.plugin_processes)
     with pytest.raises(ContainerGoneError, match=f"container process {c.container_pid} is gone"):
@@ -937,7 +950,8 @@ def test_load_plugin_is_all_or_nothing():
     with pytest.raises(NoFreeStubError):
         load_plugin(os, c, plugins[4])
     assert world_signature(os, c) == before
-    os.syscall(c.container_pid, ApiCall("kill_background_processes", package=c.addon_package))
+    os.syscall(c.container_pid, ApiCall("kill_background_processes",
+                                        package=c.addon.manifest.package))
     tick_services(os, c)
     pid = load_plugin(os, c, plugins[4])
     assert c.plugins[plugins[4].package].pid == pid and c.foreground_plugin == plugins[4].package
@@ -1076,8 +1090,8 @@ def test_dispatch_answers_to_the_reference(data):
                 call = ApiCall(data.draw(st.sampled_from(
                     ("get_running_services", "get_running_tasks", "get_recent_tasks"))))
             else:  # by the add-on's package, every other plugin process dies
-                call = ApiCall("kill_background_processes",
-                               package=c.addon_package if c else real.probe_manifest.package)
+                call = ApiCall("kill_background_processes", package=(
+                    c.addon.manifest.package if c else real.probe_manifest.package))
             assert (_outcome(real, plugin_syscall, caller, call)
                     == _outcome(ref_world, ref.plugin_syscall, caller, call))
         elif op == "fork":
@@ -1220,10 +1234,10 @@ class PluginLifecycle(RuleBasedStateMachine):
         container_alive = self.c.container_pid in self.os.processes
         if container_alive and (not callers or data.draw(st.booleans())):
             self.os.syscall(self.c.container_pid, ApiCall("kill_background_processes",
-                                                          package=self.c.addon_package))
+                                                          package=self.c.addon.manifest.package))
         elif callers:
             self.call(data.draw(st.sampled_from(callers)),
-                      ApiCall("kill_background_processes", package=self.c.addon_package))
+                      ApiCall("kill_background_processes", package=self.c.addon.manifest.package))
 
     def sweep_bound(self) -> int:
         """The records one read by each running payload service returns, read on a fork."""
@@ -1278,7 +1292,7 @@ class PluginLifecycle(RuleBasedStateMachine):
         uninstall_hooks(self.c, labels)
 
     @precondition(lambda self: self.c.container_pid in self.os.processes and all(
-        s.name in self.c.stub_assignments for s in self.c.stub_components if s.kind == ACTIVITY))
+        s.name in self.c.stub_assignments for s in addon_stubs(self.c) if s.kind == ACTIVITY))
     @invariant()
     def full_stubs_refuse_a_load(self):
         # With every activity stub taken, a launcher that needs one loads

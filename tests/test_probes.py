@@ -148,12 +148,11 @@ def world_state(world):
     """Every table a fork copies, as values that compare by content."""
     os, c = world.os, world.container
     return {
-        # PackageRecords compare by value, grants and static receivers included.
+        # PackageRecords compare by value, uids and grants included.
         "registry": os.registry,
         # SimProcess rows compare by value, running services and tasks included.
         "processes": os.processes,
         "next_pid": os.next_pid,
-        "next_uid": os.next_uid,
         "dynamic_receivers": os.dynamic_receivers,
         "data_stores": os.data_stores,
         "native_blobs": os.native_blobs,
@@ -246,7 +245,7 @@ def test_writing_into_a_report_world_leaves_the_next_matrix_alone(scenario):
             container.uninstall_hooks(c, [h.label for h in c.hooks])
             tick_services(world.os, c)
             world.os.syscall(world.probe_pid, ApiCall("kill_background_processes",
-                                                      package=c.addon_package))
+                                                      package=c.addon.manifest.package))
             assert c.container_pid not in world.os.processes
         assert world_state(world) != before
     fresh = {env: build(scenario) for env, build in WORLD_BUILDERS.items()}
@@ -497,12 +496,12 @@ def test_per_hook_flip_law_over_corpus_victims():
         assert flipped(CLOAK_HOOK_LABELS) == set().union(*HOOK_FLIPS.values()), victim.package
 
 
-HANDLE_SURFACE = {"call", "declared", "own_package", "runtime"}
+HANDLE_SURFACE = {"call", "declared", "runtime"}
 
 
 def handle_misuses(fn) -> list[str]:
     """Every use of ``fn``'s handle argument other than ``.call(...)``,
-    ``.declared``, ``.own_package`` or ``.runtime``, as source text."""
+    ``.declared`` or ``.runtime``, as source text."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
     func = tree.body[0]
     handle = func.args.args[0].arg

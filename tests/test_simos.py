@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from appvirtsim.manifest import ACTIVITY, AppManifest, SERVICE
 from appvirtsim import defaults, permissions as perms
+from appvirtsim.container import create_container, load_plugin
 from appvirtsim.simos import (
     LAUNCH_KINDS,
+    UID_BASE,
     AlreadyInstalledError,
     ApiCall,
     ApiError,
@@ -39,7 +41,7 @@ def test_install_native_paths(os_world, victim):
     assert record.data_dir == "/data/data/org.victim.app"
     assert record.apk_path == "/data/app/org.victim.app/base.apk"
     assert record.granted_permissions == set(victim.permissions)
-    assert record.static_receivers == {".MsgReceiver"}
+    assert {r.name for r in record.manifest.receivers} == {".MsgReceiver"}
 
 
 def test_package_record_is_frozen(os_world, victim):
@@ -62,6 +64,19 @@ def test_install_twice_rejected(os_world, victim):
 def test_installs_get_distinct_uids(os_world, victim, template):
     os_world.install(template)
     assert os_world.registry[victim.package].uid != os_world.registry[template.package].uid
+
+
+def test_uids_number_installs_in_order(victim, template, companion):
+    os = SimOs()
+    assert [os.install(m).uid for m in (victim, template)] == [UID_BASE, UID_BASE + 1]
+    fork = os.fork()
+    assert fork.install(companion).uid == UID_BASE + 2
+    assert fork.install(AppManifest("org.example.fork_only")).uid == UID_BASE + 3
+    # The fork's installs leave the parent's count where it was.
+    assert os.install(AppManifest("org.example.parent_only")).uid == UID_BASE + 2
+    c = create_container(os, template)
+    pid = load_plugin(os, c, companion)
+    assert os.processes[pid].uid == os.processes[c.container_pid].uid == UID_BASE + 1
 
 
 def test_spawn_requires_install(os_world):
