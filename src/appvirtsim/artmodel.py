@@ -1,10 +1,10 @@
 """Runtime compilation model: per-method hotness counters.
 
-The runtime mirrors each executed method into a record carrying a
-compilation mode and a hotness counter. Fully ahead-of-time compiled
-methods never tick the counter; under the hybrid compile-plus-interpret
-mode the counter advances by one per invocation plus one per recorded
-loop iteration.
+The runtime mirrors each executed method into a record carrying a hotness
+counter and the one compilation mode of its runtime: hybrid when native,
+ahead-of-time in a virtual environment. AoT methods never tick the counter;
+under hybrid compile-plus-interpret it advances by one per invocation plus
+one per recorded loop iteration.
 
 The observable this model encodes: processes hosting a virtual environment
 run framework methods ahead-of-time compiled (counter pinned at 0), while
@@ -34,36 +34,31 @@ WARMUP_LOOP_ITERATIONS = 2
 
 @dataclass(frozen=True)
 class ArtMethodRecord:
-    method_name: str
     compile_mode: str
     hotness_count: int = 0
     invocations: int = 0
 
 
 class RuntimeModel:
-    """Per-process runtime state: one record per executed method."""
+    """Per-process runtime state: its one compile mode and one record per executed method."""
 
     def __init__(self, environment_kind: str):
         if environment_kind not in (NATIVE, VIRTUAL):
             raise ValueError(f"unknown environment kind: {environment_kind!r}")
-        self.environment_kind = environment_kind
+        self.compile_mode = HYBRID if environment_kind == NATIVE else AOT
         self.methods: dict[str, ArtMethodRecord] = {}
 
     def fork(self) -> RuntimeModel:
         """An independent copy, without the constructor: new table, shared frozen records."""
         other = RuntimeModel.__new__(RuntimeModel)
-        other.environment_kind = self.environment_kind
+        other.compile_mode = self.compile_mode
         other.methods = dict(self.methods)
         return other
-
-    @property
-    def default_mode(self) -> str:
-        return HYBRID if self.environment_kind == NATIVE else AOT
 
     def method(self, name: str) -> ArtMethodRecord:
         record = self.methods.get(name)
         if record is None:
-            record = ArtMethodRecord(method_name=name, compile_mode=self.default_mode)
+            record = ArtMethodRecord(self.compile_mode)
             self.methods[name] = record
         return record
 
@@ -75,7 +70,7 @@ class RuntimeModel:
             raise ValueError("loop_iterations must be >= 0 and times >= 1")
         record = self.method(method_name)
         ticks = (1 + loop_iterations) * times if record.compile_mode == HYBRID else 0
-        self.methods[method_name] = ArtMethodRecord(method_name, record.compile_mode,
+        self.methods[method_name] = ArtMethodRecord(record.compile_mode,
                                                     record.hotness_count + ticks,
                                                     record.invocations + times)
 

@@ -21,6 +21,7 @@ behavior on top of that baseline.
 stub-flagged components are the stubs. Each loaded plugin is one PluginRecord
 in ``plugins`` and each assigned stub one entry in ``stub_assignments``; callers
 read all three directly. ``plugin_processes`` (package -> pid) is a read-only view.
+``_require_loadable`` is the one load rule; every load checks it before its first write.
 
 All mutation happens through the owning scenario thread; simulated
 background services advance only when tick_services is called.
@@ -38,6 +39,7 @@ from .permissions import PAYLOAD_STORES
 from .simos import (
     API_KINDS,
     LAUNCH_KINDS,
+    STORE_READS,
     AccessDeniedError,
     ApiCall,
     ApiError,
@@ -139,7 +141,6 @@ class ContainerState:
     plugins: dict[str, PluginRecord] = field(default_factory=dict)
     # The one stub store, stub -> (plugin package, kind, real name).
     stub_assignments: dict[str, tuple[str, str, str]] = field(default_factory=dict)
-    foreground_plugin: str | None = None
     # Plugins ever loaded; numbers process names, which a reap never frees.
     plugin_loads: int = 0
     run_log: list[dict] = field(default_factory=list)
@@ -169,7 +170,6 @@ class ContainerState:
         other.container_pid = self.container_pid
         other.plugins = dict(self.plugins)
         other.stub_assignments = dict(self.stub_assignments)
-        other.foreground_plugin = self.foreground_plugin
         other.plugin_loads = self.plugin_loads
         other.run_log = list(self.run_log)
         other.hooks_by_target = dict(self.hooks_by_target)
@@ -198,12 +198,16 @@ def _require_container(os: SimOs, c: ContainerState) -> None:
 
 
 def _require_loadable(c: ContainerState, plugin: AppManifest) -> None:
-    """The rule for a plugin to load: not loaded yet, and each payload tag names a store."""
+    """The one rule for a plugin to load: not loaded yet, each payload tag names a
+    store, and a launcher has a free stub (or one the add-on declares verbatim); a
+    replace hook on ``start_activity`` does not stand in for a stub. Writes nothing."""
     if plugin.package in c.plugins:
         raise AlreadyLoadedError(f"{plugin.package} is already loaded")
     for svc in plugin.services:
         if svc.payload is not None and svc.payload not in PAYLOAD_STORES:
             raise CatalogFetchError(f"{svc.name}: unknown payload tag {svc.payload!r}")
+    if (launcher := launcher_activity(plugin)) is not None:
+        _stub_out(c, (plugin.package, ACTIVITY, launcher.name))
 
 
 def load_plugin(os: SimOs, c: ContainerState, plugin: AppManifest) -> int:
@@ -215,16 +219,11 @@ def load_plugin(os: SimOs, c: ContainerState, plugin: AppManifest) -> int:
     ``<add-on data dir>/Plugin/<package>/base.apk`` otherwise; application-info
     queries for the plugin report both. The plugin itself is not installed:
     its receivers are registered dynamically, and its launcher activity
-    (when present) is opened through the dispatch pipeline, taking
-    foreground from any previously loaded plugin. A dead container, a loaded
-    package, a payload tag with no store or a launcher with no free stub loads
-    nothing: the error comes before any spawn.
+    (when present) is opened through the dispatch pipeline. A load refused by
+    ``_require_container`` or ``_require_loadable`` raises before any spawn.
     """
     _require_container(os, c)
     _require_loadable(c, plugin)
-    launcher = launcher_activity(plugin)
-    if launcher is not None:
-        _stub_out(c, (plugin.package, ACTIVITY, launcher.name))
     data_dir = f"{c.addon.data_dir}/{PLUGIN_ROOT}/{plugin.package}"
     record = os.registry.get(plugin.package)
     apk_path = record.apk_path if record is not None else f"{data_dir}/base.apk"
@@ -240,9 +239,8 @@ def load_plugin(os: SimOs, c: ContainerState, plugin: AppManifest) -> int:
     for native in sorted(plugin.native_components):
         os.syscall(pid, ApiCall("native_blob_write", name=native,
                                 token=f"init:{plugin.package}"))
-    if launcher is not None:
+    if (launcher := launcher_activity(plugin)) is not None:
         plugin_syscall(os, c, pid, ApiCall("start_activity", name=launcher.name))
-        c.foreground_plugin = plugin.package
     return pid
 
 
@@ -394,13 +392,13 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
     Stops the victim's native process, plants a shortcut that looks like the
     victim but targets the add-on, fetches the ``malicious`` payload manifest
     (handed over in memory, as ``customize`` built it), loads it as a
-    background plugin with every service started, then loads the victim as
-    the foreground plugin. ``load_plugin`` places each: the payload's code
-    under the plugin root, the victim's at its installed APK. Before the
-    first system call the container process must be alive and neither
-    package may be loaded yet: a ContainerGoneError, a CatalogFetchError (a
-    payload naming the victim, or a payload tag with no store) or an
-    AlreadyLoadedError leaves the environment as it was.
+    background plugin with every service started, then loads the victim,
+    whose launcher comes to the front. ``load_plugin`` places each: the
+    payload's code under the plugin root, the victim's at its installed APK.
+    Every refusal comes before the first system call and changes nothing: a
+    ContainerGoneError, an UnknownPackageError, a CatalogFetchError (a payload
+    naming the victim, declaring a launcher or with a tag with no store), an
+    AlreadyLoadedError or a NoFreeStubError (the victim's launcher has no stub).
     """
     _require_container(os, c)
     victim_record = os.registry.get(victim_package)
@@ -408,6 +406,8 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
         raise UnknownPackageError(f"victim {victim_package} is not installed")
     if malicious.package == victim_package:
         raise CatalogFetchError(f"the payload manifest names the victim {victim_package}")
+    if launcher_activity(malicious) is not None:
+        raise CatalogFetchError(f"the payload manifest {malicious.package} declares a launcher")
     for plugin in (malicious, victim_record.manifest):
         _require_loadable(c, plugin)
 
@@ -441,14 +441,14 @@ def first_run(os: SimOs, c: ContainerState, victim_package: str,
 
     victim_pid = load_plugin(os, c, victim_record.manifest)
     _log(c, "load_victim", package=victim_package, pid=victim_pid,
-         foreground=c.foreground_plugin == victim_package)
+         foreground=launcher_activity(victim_record.manifest) is not None)
     return c.run_log
 
 
 def _reap_plugin(os: SimOs, c: ContainerState, package: str) -> None:
     """Forget a plugin whose process died: its bookkeeping, its stubs (free
-    for the next launch), its receivers under the shared UID that no live
-    plugin also declares, and its foreground."""
+    for the next launch) and its receivers under the shared UID that no live
+    plugin also declares."""
     manifest = c.plugins.pop(package).manifest
     for stub_name in [s for s, key in c.stub_assignments.items() if key[0] == package]:
         del c.stub_assignments[stub_name]
@@ -456,13 +456,6 @@ def _reap_plugin(os: SimOs, c: ContainerState, package: str) -> None:
     for receiver in manifest.receivers:
         if receiver.name not in kept:
             os.dynamic_receivers.pop((c.addon.uid, receiver.name), None)
-    if c.foreground_plugin == package:
-        c.foreground_plugin = None
-
-
-# One read call per payload tag's store; a hook that rewrites it returns a copy.
-_STORE_READS = {tag: ApiCall("access_resource", store=store)
-                for tag, store in PAYLOAD_STORES.items()}
 
 
 def tick_services(os: SimOs, c: ContainerState) -> None:
@@ -493,7 +486,7 @@ def tick_services(os: SimOs, c: ContainerState) -> None:
             if tag is None:
                 continue
             try:
-                records = plugin_syscall(os, c, record.pid, _STORE_READS[tag])
+                records = plugin_syscall(os, c, record.pid, STORE_READS[PAYLOAD_STORES[tag]])
             except ApiError as exc:
                 _log(c, "warning",
                      detail=f"{service.name}: {PAYLOAD_STORES[tag]} read denied ({exc})")

@@ -22,6 +22,7 @@ from typing import NamedTuple
 from .artmodel import MIN_INVOCATIONS, SENTINEL
 from .permissions import DANGEROUS_PERMISSIONS, STORE_GUARDS
 from .simos import (
+    STORE_READS,
     AccessDeniedError,
     ApiCall,
     ApiError,
@@ -91,7 +92,6 @@ _RUNNING_SERVICES = ApiCall("get_running_services")
 _APP_PROCESSES = ApiCall("get_running_app_processes")
 _PROC_MAPS = ApiCall("read_proc_maps")
 _PS = ApiCall("exec_shell", cmd="ps")
-_STORE_ACCESS = {store: ApiCall("access_resource", store=store) for store in STORE_GUARDS}
 _PERMISSION_CHECKS = {p: ApiCall("check_permission", permission=p)  # in permission order
                       for p in sorted(DANGEROUS_PERMISSIONS)}
 _STORE_GUARD_PAIRS = tuple(sorted(STORE_GUARDS.items()))
@@ -107,7 +107,7 @@ def _probe_1(h: EnvHandle):
     reachable = []
     for store in undeclared:
         try:
-            h.call(_STORE_ACCESS[store])
+            h.call(STORE_READS[store])
             reachable.append(store)
         except PermissionDeniedError:
             pass
@@ -136,7 +136,7 @@ def _probe_3(h: EnvHandle):
     confirmed = []
     for store in [_STORES_BY_GUARD[p] for p in granted if p in _STORES_BY_GUARD]:
         try:
-            h.call(_STORE_ACCESS[store])
+            h.call(STORE_READS[store])
             confirmed.append(store)
         except PermissionDeniedError:
             pass

@@ -59,9 +59,6 @@ class ApiError(SimOsError):
 
     reason = "api_error"
 
-    def __init__(self, message: str = ""):
-        super().__init__(message or self.reason)
-
 
 class PackageNotFoundError(ApiError):
     reason = "package_not_found"
@@ -430,3 +427,6 @@ class SimOs:
 # are what the dispatch layer rewrites; the blob is how same-UID apps share state.
 _OPS = {name[len("_op_"):]: fn for name, fn in vars(SimOs).items() if name.startswith("_op_")}
 API_KINDS = frozenset(_OPS)
+
+# The one read call per data store, built once: the payload sweep and the probes share it.
+STORE_READS = {store: ApiCall("access_resource", store=store) for store in STORE_NAMES}

@@ -49,8 +49,7 @@ def shared_tables(os, c) -> dict:
     if c is not None:
         tables.update(
             container_pid=c.container_pid, plugins=c.plugins,
-            foreground_plugin=c.foreground_plugin, plugin_loads=c.plugin_loads,
-            run_log=c.run_log,
+            plugin_loads=c.plugin_loads, run_log=c.run_log,
         )
     return tables
 
@@ -156,8 +155,6 @@ class ReferenceDispatch:
         for receiver in manifest.receivers:
             if receiver.name not in live:
                 os.dynamic_receivers.pop((uid, receiver.name), None)
-        if c.foreground_plugin == package:
-            c.foreground_plugin = None
 
     def tick_services(self, os, c) -> None:
         for package, pid in list(c.plugin_processes.items()):

@@ -1,6 +1,7 @@
 import functools
 import random
 import re
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -35,6 +36,7 @@ from appvirtsim.container import (
     tick_services,
     uninstall_hooks,
 )
+from appvirtsim.corpus import corpus_manifest
 from appvirtsim.customization import customize, validate_result
 from appvirtsim.defaults import DEFAULT_STORE_COUNTS, default_catalog
 from appvirtsim.manifest import (
@@ -44,6 +46,7 @@ from appvirtsim.manifest import (
     AppManifest,
     Component,
     SchemaError,
+    launcher_activity,
 )
 from appvirtsim.simos import (
     API_KINDS,
@@ -59,6 +62,7 @@ from appvirtsim.worlds import (
     CLOAKED_ENV,
     ENVIRONMENTS,
     WORLD_BUILDERS,
+    MatrixScenario,
     build_cloaked_world,
     build_naive_world,
     build_native_world,
@@ -139,13 +143,15 @@ def test_load_plugin_shares_uid_not_pid(hosted, victim, template):
     )
 
 
-def test_load_two_plugins_one_foreground(hosted, victim, companion):
+def test_load_two_plugins_each_launcher_on_its_process(hosted, victim, companion):
     os, c = hosted
     first = load_plugin(os, c, companion)
     second = load_plugin(os, c, victim)
     assert first != second
     assert os.processes[first].uid == os.processes[second].uid
-    assert c.foreground_plugin == victim.package  # most recent launcher wins
+    stub = next(s for s, key in c.stub_assignments.items()
+                if key == (victim.package, ACTIVITY, launcher_activity(victim).name))
+    assert os.processes[second].running_task_components == ((ACTIVITY, stub),)
 
 
 def test_load_same_plugin_twice(hosted, victim):
@@ -551,7 +557,6 @@ def test_first_run_sequence(victim, template, catalog):
     assert log[0]["killed"] == 1
     assert ("QuickChat", "ic_launcher.png", c.addon.manifest.package) in os.shortcuts
     assert set(c.plugin_processes) == {result.malicious.package, victim.package}
-    assert c.foreground_plugin == victim.package
     payload_pid = c.plugin_processes[result.malicious.package]
     assert os.processes[payload_pid].running_services == (
         "QuickChatContactsService", "QuickChatSmsService",
@@ -607,6 +612,26 @@ def test_tick_services_appends_each_services_records_in_order():
         before = len(sink)
         tick_services(world.os, world.container)
         assert sink[before:] == expected
+
+
+def test_payload_laws_over_corpus_victims(template, catalog, companion):
+    # Over the first 200 corpus victims (seed 7), after one sweep of each
+    # cloaked world: the payload declares no permission its victim lacks, and
+    # each kept service whose store guard the victim declares adds its tag once
+    # per record of that store, and no other tag reaches the sink.
+    rng = random.Random(7)
+    for index in range(200):
+        victim = corpus_manifest(index, rng)
+        world = build_cloaked_world(MatrixScenario(victim, template, catalog, companion))
+        payload = payload_manifest(world)
+        assert payload.permissions <= victim.permissions, victim.package
+        tick_services(world.os, world.container)
+        expected = Counter()
+        for svc in payload.services:
+            store = perms.PAYLOAD_STORES[svc.payload]
+            if perms.STORE_GUARDS[store] in victim.permissions:
+                expected[svc.payload] += len(world.os.data_stores[store])
+        assert Counter(tag for tag, _ in world.os.exfil_sink) == expected, victim.package
 
 
 def test_tick_services_runs_a_payload_service_started_under_a_stub(
@@ -805,7 +830,6 @@ def test_tick_services_reaps_a_dead_plugin():
     assert victim not in c.plugins
     assert all(owner != victim for owner, _, _ in c.stub_assignments.values())
     assert (uid, ".MsgReceiver") not in os.dynamic_receivers
-    assert c.foreground_plugin is None
     assert set(c.plugin_processes.values()) <= set(os.processes)
     warnings = [e for e in c.run_log if "is gone" in e.get("detail", "")]
     tick_services(os, c)
@@ -954,8 +978,31 @@ def test_load_plugin_is_all_or_nothing():
                                         package=c.addon.manifest.package))
     tick_services(os, c)
     pid = load_plugin(os, c, plugins[4])
-    assert c.plugins[plugins[4].package].pid == pid and c.foreground_plugin == plugins[4].package
+    assert c.plugins[plugins[4].package].pid == pid
     assert list(c.stub_assignments.values()) == [(plugins[4].package, ACTIVITY, ".OwnMain")]
+
+
+def take_activity_stubs(os, c) -> None:
+    """Load one launcher plugin per activity stub of the add-on, leaving none free."""
+    stubs = {s.name for s in addon_stubs(c) if s.kind == ACTIVITY}
+    for i in range(len(stubs)):
+        load_plugin(os, c, AppManifest(f"org.x.stub{i}", activities=(
+            Component(".OwnMain", ACTIVITY, launcher=True),)))
+    assert stubs <= set(c.stub_assignments)
+
+
+def test_a_replace_hook_on_start_activity_does_not_stand_in_for_a_stub(hosted, victim):
+    # The hook would answer the launch without the OS, but the load rule still
+    # asks for a free stub: with all four taken, the victim is refused before
+    # the load spawns anything.
+    os, c = hosted
+    take_activity_stubs(os, c)
+    install_hook(c, HookSpec(LOWLEVEL, "start_activity", REPLACE,
+                             lambda call: call.name, "answer-launches"))
+    before = world_signature(os.fork(), c.fork())
+    with pytest.raises(NoFreeStubError):
+        load_plugin(os, c, victim)
+    assert world_signature(os, c) == before
 
 
 def test_first_run_refuses_a_payload_tag_with_no_store(victim, template, catalog):
@@ -965,6 +1012,37 @@ def test_first_run_refuses_a_payload_tag_with_no_store(victim, template, catalog
     services = (replace(result.malicious.services[0], payload="calendar"),)
     payload = replace(result.malicious, services=services)
     with pytest.raises(CatalogFetchError, match="unknown payload tag 'calendar'"):
+        first_run(os, c, victim.package, payload)
+    assert world_signature(os, c) == before
+
+
+def test_first_run_refuses_a_victim_launcher_with_no_free_stub(victim, template, catalog):
+    # The victim runs natively and every activity stub of the template's
+    # container is taken: first run is refused before it kills the victim,
+    # plants the shortcut or loads the payload.
+    os = SimOs()
+    seed_stores(os, {"contacts": 3, "sms": 2}, seed=7)
+    os.install(victim)
+    launch_native(os, victim.package)
+    os.install(template)
+    c = create_container(os, template)
+    take_activity_stubs(os, c)
+    malicious = customize(victim, template, catalog).malicious
+    before = world_signature(os.fork(), c.fork())
+    with pytest.raises(NoFreeStubError):
+        first_run(os, c, victim.package, malicious)
+    assert world_signature(os, c) == before
+    assert any(p.owner_package == victim.package for p in os.processes.values())
+
+
+def test_first_run_refuses_a_payload_declaring_a_launcher(victim, template, catalog):
+    # The payload loads in the background; a launcher of its own could take the
+    # victim's last activity stub between the two loads.
+    os, c, result, _ = build_attack_world(victim, template, catalog)
+    before = world_signature(os.fork(), c.fork())
+    payload = replace(result.malicious, activities=(
+        Component(".PayloadMain", ACTIVITY, launcher=True),))
+    with pytest.raises(CatalogFetchError, match="declares a launcher"):
         first_run(os, c, victim.package, payload)
     assert world_signature(os, c) == before
 

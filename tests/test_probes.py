@@ -162,7 +162,6 @@ def world_state(world):
         # PluginRecords compare by value: manifest, pid, code path and data dir.
         "plugins": c and c.plugins,
         "stub_assignments": c and c.stub_assignments,
-        "foreground_plugin": c and c.foreground_plugin,
         "hook_labels": c and [h.label for h in c.hooks],
         "run_log": c and c.run_log,
         "runtime_counters": world.runtime.methods,
